@@ -13,7 +13,7 @@ import click
 from . import embeddings as emb
 from . import evaluation, llm, selection
 from .corpus import Sentence, load_jsonl, load_parallel
-from .errors import BackendError, DataError, UsageError
+from .errors import BackendError, DataError, MbiclError, UsageError
 from .llm import GenerationParams
 from .prompting import PromptTemplate, build_prompt, load_template
 
@@ -200,54 +200,28 @@ def run(method, k, example_set_path, ordering, seed, out_dir, **run_kwargs):
         seed = example_set.seed
     elif k is None:
         raise UsageError("either --k or --example-set is required")
-    if (method == "random" or ordering == "random") and seed is None:
+    if not evaluation.needs_seed(method, ordering):
+        seed = None
+    elif seed is None:
         raise UsageError("--seed is required for random selection or ordering")
 
     config = _experiment_config(
-        method=method, k_values=[k], orderings=[ordering],
-        seeds=[seed] if seed is not None else [0], **run_kwargs
+        method=method, k_values=[k], orderings=[ordering], seeds=[seed], **run_kwargs
     )
     if example_set_path:
         # honor the pre-selected pairs instead of re-running selection
-        reports, failures = _run_fixed(config, example_set)
+        example_sets = [example_set] * len(config.test_corpus)
+        selected_pairs = [selection.pair_ref(p) for p in example_set.pairs]
+        reports, failures = [], {}
+        try:
+            reports.append(evaluation.run_cell(
+                config, example_sets, selected_pairs, k, ordering, seed
+            ))
+        except MbiclError as exc:
+            failures[evaluation.cell_id(method, k, ordering, seed)] = exc
     else:
         reports, failures = evaluation.run_experiment(config)
     _emit(reports, failures, out_dir)
-
-
-def _run_fixed(config, example_set):
-    from .evaluation import evaluate
-    from .prompting import parse_completion
-
-    prompts = [
-        build_prompt(config.template, example_set, inst.source)
-        for inst in config.test_corpus
-    ]
-    results = config.client.batch_complete(
-        prompts, config.params, max_in_flight=config.max_in_flight
-    )
-    errors = [r for r in results if isinstance(r, Exception)]
-    if errors:
-        return [], {"fixed": errors[0]}
-    predictions = [parse_completion(r.completion_text) for r in results]
-    manifest = config.base_manifest()
-    manifest.update(
-        {
-            "k": example_set.k,
-            "ordering": example_set.ordering,
-            "seed": example_set.seed,
-            "selected_pairs": [
-                {"instance_id": p.instance_id, "reference_index": p.reference_index}
-                for p in example_set.pairs
-            ],
-        }
-    )
-    run_id = f"{example_set.selection_method}-k{example_set.k}-{example_set.ordering}"
-    report = evaluate(
-        config.test_corpus, predictions, bleu_order=config.bleu_order,
-        run_id=run_id, manifest=manifest,
-    )
-    return [report], {}
 
 
 @cli.command("evaluate")

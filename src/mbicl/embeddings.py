@@ -6,8 +6,7 @@ unit vector (``embed_sentence``).
 
 * ``HashBackend`` — deterministic pseudo-embeddings derived from a token
   hash; used for tests and offline smoke runs.
-* ``FileBackend`` — precomputed vectors from a JSONL store, keyed either
-  per sentence id (contextual matrices) or per token (static vectors).
+* ``FileBackend`` — precomputed static per-token vectors from a JSONL store.
 * ``HttpBackend`` — POST /embed against any embedding server.
 """
 
@@ -68,18 +67,14 @@ class HashBackend:
 
 
 class FileBackend:
-    """Embeddings read from a JSONL store.
-
-    Lines are either ``{"id": ..., "tokens": [...], "vectors": [[...], ...]}``
-    (a full per-sentence matrix, used when the sentence id is supplied) or
-    ``{"token": ..., "vector": [...]}`` (static per-token vectors). In strict
-    mode a missing token raises; otherwise it falls back to a hash vector.
+    """Embeddings read from a JSONL store of ``{"token": ..., "vector": [...]}``
+    lines; other lines are skipped. In strict mode a missing token raises;
+    otherwise it falls back to a hash vector.
     """
 
     def __init__(self, path, strict=True):
         self.strict = strict
         self._by_token = {}
-        self._by_id = {}
         self._fallback = None
         dim = None
         with Path(path).open(encoding="utf-8") as fh:
@@ -87,26 +82,14 @@ class FileBackend:
                 if not line.strip():
                     continue
                 obj = json.loads(line)
-                if "token" in obj:
-                    vec = obj["vector"]
-                    self._by_token[obj["token"]] = vec
-                    row_dim = len(vec)
-                elif "id" in obj:
-                    self._by_id[obj["id"]] = (obj["tokens"], obj["vectors"])
-                    row_dim = len(obj["vectors"][0]) if obj["vectors"] else None
-                else:
+                if "token" not in obj:
                     continue
-                if row_dim is not None:
-                    if dim is not None and row_dim != dim:
-                        raise DimensionMismatch(f"{row_dim} vs {dim}")
-                    dim = row_dim
+                vec = obj["vector"]
+                self._by_token[obj["token"]] = vec
+                if dim is not None and len(vec) != dim:
+                    raise DimensionMismatch(f"{len(vec)} vs {dim}")
+                dim = len(vec)
         self.dim = dim
-
-    def matrix_for_id(self, sentence_id):
-        if sentence_id not in self._by_id:
-            raise TokenNotFound(sentence_id)
-        _, vectors = self._by_id[sentence_id]
-        return _normalize_rows(vectors)
 
     def embed_tokens(self, tokens):
         rows = []

@@ -128,7 +128,3 @@ class AuthError(BackendError):
 
 class RateLimited(BackendError):
     pass
-
-
-class CacheCorrupt(BackendError):
-    pass

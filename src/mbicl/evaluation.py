@@ -9,7 +9,7 @@ reports carry the full manifest needed to replay them against the cache.
 import csv
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import selection as sel
@@ -21,7 +21,6 @@ from .prompting import PromptTemplate, build_prompt, parse_completion
 log = logging.getLogger(__name__)
 
 DEFAULT_K_GRID = (1, 2, 4, 6, 8, 10, 15, 20)
-ORDERING_STUDY_K_GRID = (6, 8, 10, 15)
 
 
 @dataclass(frozen=True)
@@ -86,87 +85,73 @@ class ExperimentConfig:
     embedding_backend: object = None
     bleu_order: int = 4
     max_in_flight: int = 4
-    kate_reference_index: int = 0
 
     def base_manifest(self):
         return {
             "tune_corpus": self.tune_corpus.name,
             "test_corpus": self.test_corpus.name,
             "selection_method": self.selection_method,
-            "template": {
-                "instruction": self.template.instruction,
-                "example_format": self.template.example_format,
-                "query_format": self.template.query_format,
-                "separator": self.template.separator,
-            },
-            "params": {
-                "temperature": self.params.temperature,
-                "max_tokens": self.params.max_tokens,
-                "top_p": self.params.top_p,
-                "frequency_penalty": self.params.frequency_penalty,
-                "presence_penalty": self.params.presence_penalty,
-                "model_id": self.params.model_id,
-            },
+            "template": asdict(self.template),
+            "params": asdict(self.params),
             "backend": self.client.backend.name,
             "bleu_order": self.bleu_order,
         }
 
 
-def _cell_id(method, k, ordering, seed):
+def cell_id(method, k, ordering, seed):
     cell = f"{method}-k{k}-{ordering}"
     if seed is not None:
         cell += f"-seed{seed}"
     return cell
 
 
-def _needs_seed(method, ordering):
+def needs_seed(method, ordering):
+    """Whether a cell of *method* and *ordering* draws random numbers."""
     return method == "random" or ordering == sel.Ordering.RANDOM.value
 
 
-def _global_example_set(config, scored_cache, k, ordering, seed):
-    method = config.selection_method
-    if k == 0 or method == "zero-shot":
-        return sel.ExampleSet(
-            pairs=(), k=0, ordering=ordering, selection_method="zero-shot", seed=seed
-        )
-    if method == "random":
-        chosen = sel.random_select(config.tune_corpus, k, seed)
-    else:
-        if method not in scored_cache:
-            scored_cache[method] = sel.score_pairs(
-                config.tune_corpus, method, config.embedding_backend
-            )
-        chosen = sel.select_top_k(scored_cache[method], k)
-    return sel.order_examples(chosen, ordering, seed)
+def _example_sets(config, scored_cache, k, ordering, seed):
+    """One ExampleSet per test instance, and the manifest's selected_pairs.
 
-
-def _run_cell(config, scored_cache, k, ordering, seed):
+    KATE retrieves its own examples for each query; every other method
+    selects one set on the tune corpus and shares it across the test corpus.
+    """
     method = config.selection_method
     if method == "kate" and k > 0:
-        prompts = []
-        tune_ids = set()
-        for inst in config.test_corpus:
-            per_query = sel.kate_select(
-                config.tune_corpus,
-                inst.source,
-                k,
-                config.embedding_backend,
-                reference_index=config.kate_reference_index,
-            )
-            tune_ids.update(p.instance_id for p in per_query.pairs)
-            prompts.append(build_prompt(config.template, per_query, inst.source))
-        selected_pairs = sorted(tune_ids)
-    else:
-        example_set = _global_example_set(config, scored_cache, k, ordering, seed)
-        selected_pairs = [
-            {"instance_id": p.instance_id, "reference_index": p.reference_index}
-            for p in example_set.pairs
-        ]
-        prompts = [
-            build_prompt(config.template, example_set, inst.source)
+        example_sets = [
+            sel.kate_select(config.tune_corpus, inst.source, k, config.embedding_backend)
             for inst in config.test_corpus
         ]
+        tune_ids = {p.instance_id for s in example_sets for p in s.pairs}
+        return example_sets, sorted(tune_ids)
+    if k == 0 or method == "zero-shot":
+        chosen = sel.ExampleSet(
+            pairs=(), k=0, ordering=ordering, selection_method="zero-shot", seed=seed
+        )
+    else:
+        if method == "random":
+            chosen = sel.random_select(config.tune_corpus, k, seed)
+        else:
+            if method not in scored_cache:
+                scored_cache[method] = sel.score_pairs(
+                    config.tune_corpus, method, config.embedding_backend
+                )
+            chosen = sel.select_top_k(scored_cache[method], k)
+        chosen = sel.order_examples(chosen, ordering, seed)
+    selected_pairs = [sel.pair_ref(p) for p in chosen.pairs]
+    return [chosen] * len(config.test_corpus), selected_pairs
 
+
+def run_cell(config, example_sets, selected_pairs, k, ordering, seed):
+    """Prompt each test instance with its ExampleSet, complete, parse, score.
+
+    *example_sets* holds one ExampleSet per test instance, in corpus order.
+    The first failed completion is raised.
+    """
+    prompts = [
+        build_prompt(config.template, examples, inst.source)
+        for examples, inst in zip(example_sets, config.test_corpus, strict=True)
+    ]
     results = config.client.batch_complete(
         prompts, config.params, max_in_flight=config.max_in_flight
     )
@@ -179,12 +164,11 @@ def _run_cell(config, scored_cache, k, ordering, seed):
     manifest.update(
         {"k": k, "ordering": ordering, "seed": seed, "selected_pairs": selected_pairs}
     )
-    run_id = _cell_id(method, k, ordering, seed)
     return evaluate(
         config.test_corpus,
         predictions,
         bleu_order=config.bleu_order,
-        run_id=run_id,
+        run_id=cell_id(config.selection_method, k, ordering, seed),
         manifest=manifest,
     )
 
@@ -201,14 +185,19 @@ def run_experiment(config):
         for ordering in config.orderings:
             seeds = (
                 config.seeds
-                if _needs_seed(config.selection_method, ordering)
+                if needs_seed(config.selection_method, ordering)
                 else (None,)
             )
             for seed in seeds:
-                cell = _cell_id(config.selection_method, k, ordering, seed)
                 try:
-                    reports.append(_run_cell(config, scored_cache, k, ordering, seed))
+                    example_sets, selected_pairs = _example_sets(
+                        config, scored_cache, k, ordering, seed
+                    )
+                    reports.append(
+                        run_cell(config, example_sets, selected_pairs, k, ordering, seed)
+                    )
                 except MbiclError as exc:
+                    cell = cell_id(config.selection_method, k, ordering, seed)
                     log.error("cell %s failed: %s", cell, exc)
                     failures[cell] = exc
     return reports, failures

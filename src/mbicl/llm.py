@@ -206,8 +206,9 @@ class ResponseCache:
     """Append-only JSONL cache of generation records, keyed by digest.
 
     Each line must parse and its stored digest must match a recomputation
-    from the stored fields; a damaged tail (e.g. a crash mid-append) is
-    moved to ``<path>.quarantine`` instead of being silently reused.
+    from the stored fields. A damaged line (e.g. a crash mid-append) is
+    moved to ``<path>.quarantine`` instead of being silently reused; every
+    good line, before or after it, is kept.
     """
 
     def __init__(self, path):
@@ -219,30 +220,25 @@ class ResponseCache:
     def _load(self):
         if not self.path.exists():
             return
-        raw = self.path.read_text(encoding="utf-8")
-        good_chars = 0
-        bad_tail = None
-        offset = 0
-        for line in raw.splitlines(keepends=True):
+        good, bad = [], []
+        for line in self.path.read_text(encoding="utf-8").splitlines(keepends=True):
             stripped = line.strip()
             if stripped:
                 try:
-                    obj = json.loads(stripped)
-                    record = _record_from_json(obj)
+                    record = _record_from_json(json.loads(stripped))
                     expected = request_digest(record.prompt_text, record.params)
                     if record.digest != expected:
                         raise ValueError("digest mismatch")
                 except (ValueError, KeyError, TypeError):
-                    bad_tail = raw[offset:]
-                    break
+                    bad.append(line.rstrip("\n") + "\n")
+                    continue
                 self._records[record.digest] = record
-            offset += len(line)
-            good_chars = offset
-        if bad_tail is not None:
+            good.append(line)
+        if bad:
             quarantine = self.path.with_name(self.path.name + ".quarantine")
             with quarantine.open("a", encoding="utf-8") as fh:
-                fh.write(bad_tail)
-            self.path.write_text(raw[:good_chars], encoding="utf-8")
+                fh.writelines(bad)
+            self.path.write_text("".join(good), encoding="utf-8")
 
     def get(self, digest):
         with self._lock:

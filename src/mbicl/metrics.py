@@ -28,8 +28,9 @@ SARI_MAX_ORDER = 4
 
 
 class Metric(str, Enum):
+    """The metrics that score (complex, reference) pairs for selection."""
+
     SARI = "sari"
-    BLEU = "bleu"
     CR = "cr"
     BERTPREC = "bertprec"
 

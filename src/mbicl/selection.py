@@ -14,6 +14,7 @@ from enum import Enum
 from pathlib import Path
 
 from . import embeddings as emb
+from .corpus import Sentence
 from .errors import (
     EmbeddingBackendMissing,
     EmptyCorpus,
@@ -61,7 +62,7 @@ class ExampleSet:
         return len(self.pairs)
 
 
-def _candidate_pairs(corpus, metric):
+def _candidate_pairs(corpus):
     for inst in corpus:
         for j, ref in enumerate(inst.references):
             yield inst, j, ref
@@ -85,7 +86,7 @@ def score_pairs(corpus, metric, embedding_backend=None):
 
     pairs = []
     skipped = 0
-    for inst, j, ref in _candidate_pairs(corpus, metric):
+    for inst, j, ref in _candidate_pairs(corpus):
         if metric is Metric.CR:
             score = compression_ratio(inst.source, ref)
         elif metric is Metric.SARI:
@@ -94,14 +95,12 @@ def score_pairs(corpus, metric, embedding_backend=None):
                 continue
             rest = inst.references[:j] + inst.references[j + 1 :]
             score = sari_sentence(inst.source, ref, rest)
-        elif metric is Metric.BERTPREC:
+        else:  # Metric.BERTPREC
             cand = emb.embed_tokens(ref, embedding_backend)
             reference = emb.embed_tokens(inst.source, embedding_backend)
             score = bertscore_precision(cand, reference)
             if score >= DUPLICATE_SCORE:
                 continue
-        else:
-            raise ValueError(f"{metric} is not a selection metric")
         pairs.append(
             ScoredPair(
                 instance_id=inst.id,
@@ -177,7 +176,7 @@ def random_select(corpus, k, seed):
             metric="random",
             score=None,
         )
-        for inst, j, ref in _candidate_pairs(corpus, None)
+        for inst, j, ref in _candidate_pairs(corpus)
     ]
     if k > len(population):
         log.warning("k=%d exceeds population of %d; taking all", k, len(population))
@@ -192,14 +191,13 @@ def random_select(corpus, k, seed):
     )
 
 
-def kate_select(dev, query, k, embedding_backend, reference_index=0,
-                most_similar_last=True):
+def kate_select(dev, query, k, embedding_backend):
     """k dev pairs whose complex-sentence embedding is most similar to the
     query sentence embedding.
 
-    Each instance contributes one pair, its complex sentence paired with the
-    reference at *reference_index*. By default the most similar example comes
-    last, adjacent to the query in the rendered prompt.
+    Each instance contributes one pair, its complex sentence paired with its
+    first reference. The most similar example comes last, adjacent to the
+    query in the rendered prompt.
     """
     if embedding_backend is None:
         raise EmbeddingBackendMissing("similarity retrieval needs --embeddings")
@@ -208,76 +206,80 @@ def kate_select(dev, query, k, embedding_backend, reference_index=0,
     query_vec = emb.embed_sentence(query, embedding_backend)
     scored = []
     for inst in dev:
-        ref = inst.references[min(reference_index, inst.n_references - 1)]
         sim = emb.cosine(emb.embed_sentence(inst.source, embedding_backend), query_vec)
         scored.append(
             ScoredPair(
                 instance_id=inst.id,
-                reference_index=min(reference_index, inst.n_references - 1),
+                reference_index=0,
                 source=inst.source,
-                simple=ref,
+                simple=inst.references[0],
                 metric="kate",
                 score=sim,
             )
         )
     scored.sort(key=_rank_key)
-    chosen = scored[:k]
-    if most_similar_last:
-        chosen.reverse()
     return ExampleSet(
-        pairs=tuple(chosen),
+        pairs=tuple(reversed(scored[:k])),
         k=k,
-        ordering=Ordering.LOW_TO_HIGH.value if most_similar_last
-        else Ordering.HIGH_TO_LOW.value,
+        ordering=Ordering.LOW_TO_HIGH.value,
         selection_method="kate",
     )
 
 
 # -- on-disk formats -----------------------------------------------------
 
+def pair_ref(pair):
+    """The manifest's record of a selected pair."""
+    return {"instance_id": pair.instance_id, "reference_index": pair.reference_index}
+
+
+def _pair_to_json(pair):
+    return {
+        **pair_ref(pair),
+        "source": pair.source.raw,
+        "simple": pair.simple.raw,
+        "metric": pair.metric,
+        "score": pair.score,
+    }
+
+
+def _pair_from_json(obj):
+    return ScoredPair(
+        instance_id=obj["instance_id"],
+        reference_index=obj["reference_index"],
+        source=Sentence.from_raw(obj["source"]),
+        simple=Sentence.from_raw(obj["simple"]),
+        metric=obj["metric"],
+        score=obj["score"],
+    )
+
+
+def _decode(text, build, lineno):
+    """build(json.loads(text)), with malformed input raised as a ParseError.
+
+    *lineno* is the file line *text* starts on; a JSON syntax error is
+    reported at its own line within *text*.
+    """
+    try:
+        return build(json.loads(text))
+    except (json.JSONDecodeError, KeyError, TypeError, AttributeError) as exc:
+        raise ParseError(lineno + getattr(exc, "lineno", 1) - 1, str(exc)) from exc
+
+
 def save_scored_pairs(pairs, path):
     """Audit dump: one JSON object per scored pair."""
     with Path(path).open("w", encoding="utf-8") as fh:
         for p in pairs:
-            fh.write(
-                json.dumps(
-                    {
-                        "instance_id": p.instance_id,
-                        "reference_index": p.reference_index,
-                        "source": p.source.raw,
-                        "simple": p.simple.raw,
-                        "metric": p.metric,
-                        "score": p.score,
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+            fh.write(json.dumps(_pair_to_json(p), ensure_ascii=False) + "\n")
 
 
 def load_scored_pairs(path):
-    from .corpus import Sentence
-
-    pairs = []
     with Path(path).open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                pairs.append(
-                    ScoredPair(
-                        instance_id=obj["instance_id"],
-                        reference_index=obj["reference_index"],
-                        source=Sentence.from_raw(obj["source"]),
-                        simple=Sentence.from_raw(obj["simple"]),
-                        metric=obj["metric"],
-                        score=obj["score"],
-                    )
-                )
-            except (json.JSONDecodeError, KeyError) as exc:
-                raise ParseError(lineno, str(exc)) from exc
-    return pairs
+        return [
+            _decode(line, _pair_from_json, lineno)
+            for lineno, line in enumerate(fh, start=1)
+            if line.strip()
+        ]
 
 
 def save_example_set(example_set, path):
@@ -286,42 +288,22 @@ def save_example_set(example_set, path):
         "ordering": example_set.ordering,
         "selection_method": example_set.selection_method,
         "seed": example_set.seed,
-        "pairs": [
-            {
-                "instance_id": p.instance_id,
-                "reference_index": p.reference_index,
-                "source": p.source.raw,
-                "simple": p.simple.raw,
-                "metric": p.metric,
-                "score": p.score,
-            }
-            for p in example_set.pairs
-        ],
+        "pairs": [_pair_to_json(p) for p in example_set.pairs],
     }
     Path(path).write_text(
         json.dumps(obj, ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
     )
 
 
-def load_example_set(path):
-    from .corpus import Sentence
-
-    obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    pairs = tuple(
-        ScoredPair(
-            instance_id=p["instance_id"],
-            reference_index=p["reference_index"],
-            source=Sentence.from_raw(p["source"]),
-            simple=Sentence.from_raw(p["simple"]),
-            metric=p["metric"],
-            score=p["score"],
-        )
-        for p in obj["pairs"]
-    )
+def _example_set_from_json(obj):
     return ExampleSet(
-        pairs=pairs,
+        pairs=tuple(_pair_from_json(p) for p in obj["pairs"]),
         k=obj["k"],
         ordering=obj["ordering"],
         selection_method=obj["selection_method"],
         seed=obj.get("seed"),
     )
+
+
+def load_example_set(path):
+    return _decode(Path(path).read_text(encoding="utf-8"), _example_set_from_json, 1)

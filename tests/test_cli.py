@@ -130,8 +130,34 @@ def test_run_end_to_end_echo(corpus_file, tmp_path, capsys):
     pins = json.loads((FIXTURES / "echo_pins.json").read_text())
     assert report["sari"] == pytest.approx(pins["sari"], abs=1e-9)
     # flags appear verbatim in the manifest
-    assert report["manifest"]["k"] == 2
-    assert report["manifest"]["bleu_order"] == 4
+    assert report["manifest"] == {
+        "backend": "mock-echo",
+        "bleu_order": 4,
+        "k": 2,
+        "ordering": "high-to-low",
+        "params": {
+            "frequency_penalty": 0.0,
+            "max_tokens": 256,
+            "model_id": "mock",
+            "presence_penalty": 0.0,
+            "temperature": 0.7,
+            "top_p": 1.0,
+        },
+        "seed": None,
+        "selected_pairs": [
+            {"instance_id": "1", "reference_index": 1},
+            {"instance_id": "1", "reference_index": 0},
+        ],
+        "selection_method": "sari",
+        "template": {
+            "example_format": "Complex sentence: {c}\nSimple sentence: {r}",
+            "instruction": "Simplify the following complex sentences.",
+            "query_format": "Complex sentence: {c}\nSimple sentence:",
+            "separator": "\n\n",
+        },
+        "test_corpus": "echo_corpus",
+        "tune_corpus": "dev",
+    }
 
 
 def test_run_warm_cache_is_identical(corpus_file, tmp_path, capsys):
@@ -147,6 +173,76 @@ def test_run_warm_cache_is_identical(corpus_file, tmp_path, capsys):
     a = next((tmp_path / "r1").glob("*.json")).read_text()
     b = next((tmp_path / "r2").glob("*.json")).read_text()
     assert a == b
+
+
+def _cr_example_set(capsys, corpus_file, tmp_path, *select_args):
+    """A k=2 example set selected from compression-ratio scores."""
+    scores = tmp_path / "scores.jsonl"
+    run_cli(capsys, "score", corpus_file, "--metric", "cr", "-o", scores)
+    set_path = tmp_path / "set.json"
+    run_cli(capsys, "select", scores, "--k", "2", *select_args, "-o", set_path)
+    return set_path
+
+
+def _run_args(corpus_file, tmp_path):
+    return (
+        "run", "--tune", corpus_file, "--test", FIXTURES / "echo_corpus.jsonl",
+        "--backend", "mock-echo", "--cache", tmp_path / "cache.jsonl",
+    )
+
+
+def test_run_example_set_matches_selection(corpus_file, tmp_path, capsys):
+    set_path = _cr_example_set(capsys, corpus_file, tmp_path)
+    args = _run_args(corpus_file, tmp_path)
+    code, _, _ = run_cli(
+        capsys, *args, "--example-set", set_path, "--report", tmp_path / "fixed"
+    )
+    assert code == 0
+    code, _, _ = run_cli(
+        capsys, *args, "--method", "cr", "--k", "2", "--report", tmp_path / "selected"
+    )
+    assert code == 0
+    for name in ("cr-k2-high-to-low.json", "grid.csv"):
+        fixed = (tmp_path / "fixed" / name).read_bytes()
+        assert fixed == (tmp_path / "selected" / name).read_bytes()
+
+
+def test_run_random_example_set_cell_id(corpus_file, tmp_path, capsys):
+    set_path = _cr_example_set(
+        capsys, corpus_file, tmp_path, "--ordering", "random", "--seed", "7"
+    )
+    report_dir = tmp_path / "r"
+    code, _, _ = run_cli(
+        capsys, *_run_args(corpus_file, tmp_path), "--example-set", set_path,
+        "--report", report_dir,
+    )
+    assert code == 0
+    report = json.loads((report_dir / "cr-k2-random-seed7.json").read_text())
+    assert report["manifest"]["seed"] == 7
+
+
+def test_malformed_example_set_is_data_error(corpus_file, tmp_path, capsys):
+    set_path = _cr_example_set(capsys, corpus_file, tmp_path)
+    obj = json.loads(set_path.read_text())
+    obj["pairs"][1]["source"] = None
+    set_path.write_text(json.dumps(obj))
+    code, _, _ = run_cli(
+        capsys, "build-prompt", "--example-set", set_path, "--query", "A query."
+    )
+    assert code == 2
+    del obj["pairs"][0]["reference_index"]
+    set_path.write_text(json.dumps(obj))
+    code, _, err = run_cli(
+        capsys, "build-prompt", "--example-set", set_path, "--query", "A query."
+    )
+    assert code == 2 and "reference_index" in err
+
+    set_path.write_text("not json\n")
+    code, _, _ = run_cli(
+        capsys, *_run_args(corpus_file, tmp_path), "--example-set", set_path,
+        "--report", tmp_path / "r",
+    )
+    assert code == 2
 
 
 def test_evaluate_command(tmp_path, capsys):

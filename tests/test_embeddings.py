@@ -117,18 +117,6 @@ def test_file_backend_non_strict_falls_back(tmp_path):
     assert m.shape == (2, 2)
 
 
-def test_file_backend_sentence_matrix(tmp_path):
-    p = tmp_path / "emb.jsonl"
-    p.write_text(
-        json.dumps({"id": "0", "tokens": ["a", "b"], "vectors": [[1.0, 0.0], [0.0, 1.0]]})
-        + "\n"
-    )
-    backend = FileBackend(p)
-    assert np.allclose(backend.matrix_for_id("0"), [[1.0, 0.0], [0.0, 1.0]])
-    with pytest.raises(TokenNotFound):
-        backend.matrix_for_id("missing")
-
-
 def test_backend_row_count_checked():
     with pytest.raises(DimensionMismatch):
         embed_tokens(sent("."), _NoTokens())

@@ -122,6 +122,24 @@ def test_cache_quarantines_damaged_tail(tmp_path):
     ResponseCache(path)
     assert not path.read_text().endswith("truncat")
 
+    # a damaged line in the middle loses only itself, not the lines after it
+    middle = tmp_path / "middle.jsonl"
+    client = CompletionClient(MockEchoBackend(), ResponseCache(middle))
+    for i in range(10):
+        client.complete(prompt_for(f"Sentence {i}."), PARAMS)
+    lines = middle.read_text().splitlines(keepends=True)
+    lines[1] = lines[1][:40] + "\n"
+    middle.write_text("".join(lines))
+
+    backend = MockEchoBackend()
+    reopened = CompletionClient(backend, ResponseCache(middle))
+    assert len(reopened.cache) == 9
+    assert (tmp_path / "middle.jsonl.quarantine").read_text() == lines[1]
+    assert middle.read_text() == "".join(lines[:1] + lines[2:])
+    for i in (0, 2, 9):
+        reopened.complete(prompt_for(f"Sentence {i}."), PARAMS)
+    assert backend.invocations == 0
+
 
 def test_batch_complete_order_and_isolation(toy_corpus):
     backend = MockFirstReferenceBackend.for_corpus(toy_corpus)
