@@ -1,4 +1,5 @@
-"""Multi-reference simplification corpora: loading, validation, tokenization.
+"""Multi-reference simplification corpora: loading, validation, tokenization,
+and the JSONL reader (``read_jsonl``, ``decode``) every input file goes through.
 
 Two on-disk layouts are supported:
 
@@ -14,6 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import (
+    DataError,
     DuplicateId,
     EmptyLine,
     EmptyReferences,
@@ -42,6 +44,8 @@ class Sentence:
 
     @classmethod
     def from_raw(cls, raw):
+        if not isinstance(raw, str):
+            raise TypeError(f"sentence must be a string, not {type(raw).__name__}")
         raw = raw.strip()
         if not raw:
             raise EmptySentence("sentence text is empty")
@@ -76,18 +80,6 @@ class Corpus:
 
     def __iter__(self):
         return iter(self.instances)
-
-    @property
-    def ragged(self):
-        """True when instances disagree on reference count."""
-        counts = {inst.n_references for inst in self.instances}
-        return len(counts) > 1
-
-    @property
-    def reference_count(self):
-        """Common reference count, or None for a ragged corpus."""
-        counts = {inst.n_references for inst in self.instances}
-        return counts.pop() if len(counts) == 1 else None
 
 
 def _read_lines(path):
@@ -129,36 +121,64 @@ def load_parallel(dir_path, name=None, split="validation"):
     return Corpus(name=name or dir_path.name, split=split, instances=tuple(instances))
 
 
+def decode(text, build, path, lineno=1):
+    """build(json.loads(text)); a rejected line is reported at ``path:lineno``.
+
+    Malformed input is raised as a ParseError, and a DataError from *build*
+    keeps its type. *lineno* is the line of *path* that *text* starts on; a
+    JSON syntax error is reported at its own line within *text*, and one at
+    the end of *text* at its last non-blank line.
+    """
+    try:
+        return build(json.loads(text.rstrip()))
+    except json.JSONDecodeError as exc:
+        raise ParseError(path, lineno + exc.lineno - 1, exc.msg) from exc
+    except KeyError as exc:
+        raise ParseError(path, lineno, f"missing field {exc}") from exc
+    except (ValueError, TypeError, AttributeError) as exc:
+        raise ParseError(path, lineno, str(exc)) from exc
+    except DataError as exc:
+        exc.args = (f"{path}:{lineno}: {exc}",)
+        raise
+
+
+def read_jsonl(path, build):
+    """[build(obj) for each non-blank line of the JSONL file *path*]."""
+    path = Path(path)
+    if not path.is_file():
+        raise MissingFile(f"{path} not found")
+    with path.open(encoding="utf-8") as fh:
+        return [
+            decode(line, build, path, lineno)
+            for lineno, line in enumerate(fh, start=1)
+            if line.strip()
+        ]
+
+
+def _instance_from_json(obj):
+    references = obj["references"]
+    if not isinstance(references, list):
+        raise TypeError("references must be a list")
+    return InstanceGroup(
+        id=str(obj["id"]),
+        source=Sentence.from_raw(obj["source"]),
+        references=tuple(Sentence.from_raw(r) for r in references),
+    )
+
+
 def load_jsonl(file_path, name=None, split="validation"):
     """Load the one-object-per-line JSONL layout from *file_path*."""
-    file_path = Path(file_path)
-    if not file_path.is_file():
-        raise MissingFile(f"{file_path} not found")
-
-    instances = []
     seen = set()
-    with file_path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                id_, source = obj["id"], obj["source"]
-                references = obj["references"]
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise ParseError(lineno, str(exc)) from exc
-            if id_ in seen:
-                raise DuplicateId(id_)
-            seen.add(id_)
-            if not references:
-                raise EmptyReferences(id_)
-            instances.append(
-                InstanceGroup(
-                    id=str(id_),
-                    source=Sentence.from_raw(source),
-                    references=tuple(Sentence.from_raw(r) for r in references),
-                )
-            )
+
+    def build(obj):
+        inst = _instance_from_json(obj)
+        if inst.id in seen:
+            raise DuplicateId(inst.id)
+        seen.add(inst.id)
+        return inst
+
+    file_path = Path(file_path)
+    instances = read_jsonl(file_path, build)
     return Corpus(name=name or file_path.stem, split=split, instances=tuple(instances))
 
 

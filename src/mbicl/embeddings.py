@@ -11,13 +11,12 @@ unit vector (``embed_sentence``).
 """
 
 import hashlib
-import json
 import threading
-from pathlib import Path
 
 import numpy as np
 import requests
 
+from .corpus import read_jsonl
 from .errors import (
     BackendUnavailable,
     DimensionMismatch,
@@ -66,42 +65,31 @@ class HashBackend:
         return _normalize_rows([self._token_vector(t) for t in tokens])
 
 
+def _token_vector_from_json(obj):
+    token, vector = obj["token"], obj["vector"]
+    if not isinstance(token, str) or not isinstance(vector, list) or not all(
+        isinstance(v, (int, float)) for v in vector
+    ):
+        raise TypeError('expected {"token": <string>, "vector": [<numbers>]}')
+    return token, vector
+
+
 class FileBackend:
     """Embeddings read from a JSONL store of ``{"token": ..., "vector": [...]}``
-    lines; other lines are skipped. In strict mode a missing token raises;
-    otherwise it falls back to a hash vector.
+    lines. A token missing from the store raises TokenNotFound.
     """
 
-    def __init__(self, path, strict=True):
-        self.strict = strict
-        self._by_token = {}
-        self._fallback = None
-        dim = None
-        with Path(path).open(encoding="utf-8") as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                obj = json.loads(line)
-                if "token" not in obj:
-                    continue
-                vec = obj["vector"]
-                self._by_token[obj["token"]] = vec
-                if dim is not None and len(vec) != dim:
-                    raise DimensionMismatch(f"{len(vec)} vs {dim}")
-                dim = len(vec)
-        self.dim = dim
+    def __init__(self, path):
+        self._by_token = dict(read_jsonl(path, _token_vector_from_json))
+        dims = {len(vec) for vec in self._by_token.values()}
+        if len(dims) > 1:
+            raise DimensionMismatch(f"{path}: vectors of lengths {sorted(dims)}")
 
     def embed_tokens(self, tokens):
-        rows = []
-        for token in tokens:
-            if token in self._by_token:
-                rows.append(self._by_token[token])
-            elif self.strict:
-                raise TokenNotFound(token)
-            else:
-                if self._fallback is None:
-                    self._fallback = HashBackend(dim=self.dim or DEFAULT_DIM)
-                rows.append(self._fallback._token_vector(token))
+        try:
+            rows = [self._by_token[token] for token in tokens]
+        except KeyError as exc:
+            raise TokenNotFound(exc.args[0]) from exc
         return _normalize_rows(rows)
 
 

@@ -43,8 +43,9 @@ class EmptyLine(DataError):
 
 
 class ParseError(DataError):
-    def __init__(self, lineno, detail=""):
-        super().__init__(f"line {lineno}: {detail}" if detail else f"line {lineno}")
+    def __init__(self, file, lineno, detail):
+        super().__init__(f"{file}:{lineno}: {detail}")
+        self.file = file
         self.lineno = lineno
 
 

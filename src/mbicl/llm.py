@@ -18,7 +18,8 @@ from pathlib import Path
 
 import requests
 
-from .errors import AuthError, BackendError, BackendUnavailable, RateLimited
+from .corpus import decode
+from .errors import AuthError, BackendError, BackendUnavailable, ParseError, RateLimited
 from .prompting import COMPLEX_MARKER, SIMPLE_MARKER
 
 API_KEY_ENV = "MBICL_API_KEY"
@@ -71,16 +72,18 @@ def _record_to_json(record):
 
 
 def _record_from_json(obj):
-    params = GenerationParams(**obj["params"])
-    return GenerationRecord(
+    record = GenerationRecord(
         digest=obj["digest"],
         prompt_text=obj["prompt_text"],
         completion_text=obj["completion_text"],
         model_id=obj["model_id"],
-        params=params,
+        params=GenerationParams(**obj["params"]),
         backend=obj["backend"],
         timestamp=obj.get("timestamp", 0.0),
     )
+    if record.digest != request_digest(record.prompt_text, record.params):
+        raise ValueError("digest mismatch")
+    return record
 
 
 def _extract_query(prompt_text):
@@ -100,11 +103,7 @@ class MockEchoBackend:
 
     name = "mock-echo"
 
-    def __init__(self):
-        self.invocations = 0
-
     def generate(self, prompt_text, params):
-        self.invocations += 1
         return _extract_query(prompt_text)
 
 
@@ -116,10 +115,8 @@ class MockFirstReferenceBackend:
 
     def __init__(self, reference_lookup):
         self.reference_lookup = dict(reference_lookup)
-        self.invocations = 0
 
     def generate(self, prompt_text, params):
-        self.invocations += 1
         query = _extract_query(prompt_text)
         try:
             return self.reference_lookup[query]
@@ -153,7 +150,6 @@ class HttpBackend:
         self.max_attempts = max_attempts
         self.backoff = backoff
         self.timeout = timeout
-        self.invocations = 0
 
     def _request(self, prompt_text, params):
         headers = {"Authorization": f"Bearer {self.api_key}"}
@@ -174,7 +170,6 @@ class HttpBackend:
         return requests.post(url, json=body, headers=headers, timeout=self.timeout)
 
     def generate(self, prompt_text, params):
-        self.invocations += 1
         last_error = None
         for attempt in range(self.max_attempts):
             if attempt:
@@ -220,17 +215,18 @@ class ResponseCache:
     def _load(self):
         if not self.path.exists():
             return
+        with self.path.open(encoding="utf-8") as fh:
+            lines = list(fh)
+        rewrite = bool(lines) and not lines[-1].endswith("\n")
+        if rewrite:
+            lines[-1] += "\n"  # the next append must start a line of its own
         good, bad = [], []
-        for line in self.path.read_text(encoding="utf-8").splitlines(keepends=True):
-            stripped = line.strip()
-            if stripped:
+        for lineno, line in enumerate(lines, start=1):
+            if line.strip():
                 try:
-                    record = _record_from_json(json.loads(stripped))
-                    expected = request_digest(record.prompt_text, record.params)
-                    if record.digest != expected:
-                        raise ValueError("digest mismatch")
-                except (ValueError, KeyError, TypeError):
-                    bad.append(line.rstrip("\n") + "\n")
+                    record = decode(line, _record_from_json, self.path, lineno)
+                except ParseError:
+                    bad.append(line)
                     continue
                 self._records[record.digest] = record
             good.append(line)
@@ -238,6 +234,7 @@ class ResponseCache:
             quarantine = self.path.with_name(self.path.name + ".quarantine")
             with quarantine.open("a", encoding="utf-8") as fh:
                 fh.writelines(bad)
+        if bad or rewrite:
             self.path.write_text("".join(good), encoding="utf-8")
 
     def get(self, digest):

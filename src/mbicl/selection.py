@@ -14,11 +14,10 @@ from enum import Enum
 from pathlib import Path
 
 from . import embeddings as emb
-from .corpus import Sentence
+from .corpus import Sentence, decode, read_jsonl
 from .errors import (
     EmbeddingBackendMissing,
     EmptyCorpus,
-    ParseError,
     SariNeedsMultipleReferences,
 )
 from .metrics import Metric, bertscore_precision, compression_ratio, sari_sentence
@@ -145,7 +144,8 @@ def order_examples(example_set, ordering, seed=None):
     """Rearrange the pairs of *example_set* per the ordering strategy.
 
     Random ordering uses a Fisher-Yates shuffle driven by Python's seeded
-    Mersenne Twister; same seed, same order, within this implementation.
+    Mersenne Twister; same seed, same order, within this implementation. Only
+    a random ordering records *seed*; the others keep the set's own seed.
     """
     ordering = Ordering(ordering)
     pairs = list(example_set.pairs)
@@ -157,9 +157,8 @@ def order_examples(example_set, ordering, seed=None):
         if seed is None:
             raise ValueError("random ordering needs a seed")
         random.Random(seed).shuffle(pairs)
-    return replace(
-        example_set, pairs=tuple(pairs), ordering=ordering.value, seed=seed
-    )
+        example_set = replace(example_set, seed=seed)
+    return replace(example_set, pairs=tuple(pairs), ordering=ordering.value)
 
 
 def random_select(corpus, k, seed):
@@ -244,26 +243,19 @@ def _pair_to_json(pair):
 
 
 def _pair_from_json(obj):
+    reference_index, score = obj["reference_index"], obj["score"]
+    if not isinstance(reference_index, int) or not isinstance(
+        score, (int, float, type(None))
+    ):
+        raise TypeError("reference_index must be an integer and score a number or null")
     return ScoredPair(
-        instance_id=obj["instance_id"],
-        reference_index=obj["reference_index"],
+        instance_id=str(obj["instance_id"]),
+        reference_index=reference_index,
         source=Sentence.from_raw(obj["source"]),
         simple=Sentence.from_raw(obj["simple"]),
         metric=obj["metric"],
-        score=obj["score"],
+        score=score,
     )
-
-
-def _decode(text, build, lineno):
-    """build(json.loads(text)), with malformed input raised as a ParseError.
-
-    *lineno* is the file line *text* starts on; a JSON syntax error is
-    reported at its own line within *text*.
-    """
-    try:
-        return build(json.loads(text))
-    except (json.JSONDecodeError, KeyError, TypeError, AttributeError) as exc:
-        raise ParseError(lineno + getattr(exc, "lineno", 1) - 1, str(exc)) from exc
 
 
 def save_scored_pairs(pairs, path):
@@ -274,12 +266,7 @@ def save_scored_pairs(pairs, path):
 
 
 def load_scored_pairs(path):
-    with Path(path).open(encoding="utf-8") as fh:
-        return [
-            _decode(line, _pair_from_json, lineno)
-            for lineno, line in enumerate(fh, start=1)
-            if line.strip()
-        ]
+    return read_jsonl(path, _pair_from_json)
 
 
 def save_example_set(example_set, path):
@@ -306,4 +293,4 @@ def _example_set_from_json(obj):
 
 
 def load_example_set(path):
-    return _decode(Path(path).read_text(encoding="utf-8"), _example_set_from_json, 1)
+    return decode(Path(path).read_text(encoding="utf-8"), _example_set_from_json, path)

@@ -1,4 +1,5 @@
 import json
+import threading
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,22 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 def sent(raw):
     return Sentence.from_raw(raw)
+
+
+class CountingBackend:
+    """A completion backend wrapper that counts calls under a lock, since
+    ``batch_complete`` calls it from worker threads."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.name = inner.name
+        self.calls = 0
+        self._lock = threading.Lock()
+
+    def generate(self, prompt_text, params):
+        with self._lock:
+            self.calls += 1
+        return self.inner.generate(prompt_text, params)
 
 
 def make_instance(id, source, references):

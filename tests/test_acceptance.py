@@ -11,7 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import FIXTURES, load_pins, make_corpus, sent
+from conftest import FIXTURES, CountingBackend, load_pins, make_corpus, sent
 from mbicl import (
     CompletionClient,
     ExperimentConfig,
@@ -211,7 +211,8 @@ def _echo_config(tune, test, cache_path, **kwargs):
     kwargs.setdefault("selection_method", "sari")
     kwargs.setdefault("k_values", (2,))
     client = CompletionClient(
-        MockEchoBackend(), ResponseCache(cache_path) if cache_path else None
+        CountingBackend(MockEchoBackend()),
+        ResponseCache(cache_path) if cache_path else None,
     )
     return (
         ExperimentConfig(
@@ -233,11 +234,11 @@ def test_criterion_8_end_to_end_echo(toy_corpus, echo_corpus, tmp_path):
         assert not failures
         assert reports_a[0].sari == pytest.approx(pins["sari"], abs=1e-9)
         assert reports_a[0].bleu == pytest.approx(pins["bleu_order4"], abs=1e-9)
-        assert client.backend.invocations == len(echo_corpus)
+        assert client.backend.calls == len(echo_corpus)
 
         config, client = _echo_config(toy_corpus, echo_corpus, cache)
         reports_b, _ = run_experiment(config)
-        assert client.backend.invocations == 0
+        assert client.backend.calls == 0
         assert reports_a[0].to_json() == reports_b[0].to_json()
         assert time.perf_counter() - start < 2.0
 

@@ -245,6 +245,98 @@ def test_malformed_example_set_is_data_error(corpus_file, tmp_path, capsys):
     assert code == 2
 
 
+GOOD_INSTANCE = (
+    '{"id": "0", "source": "A big cat sat.", "references": ["A cat sat."]}\n'
+)
+GOOD_VECTOR = '{"token": "a", "vector": [1.0, 0.0]}\n'
+
+# case: (file, its text or None for an absent file, line the error names)
+MALFORMED_INPUTS = {
+    "null-source": (
+        "dev.jsonl",
+        GOOD_INSTANCE + '{"id": "1", "source": null, "references": ["B."]}\n',
+        2,
+    ),
+    "null-reference": (
+        "dev.jsonl",
+        GOOD_INSTANCE + '{"id": "1", "source": "B c.", "references": [null]}\n',
+        2,
+    ),
+    "number-references": (
+        "dev.jsonl",
+        GOOD_INSTANCE + '{"id": "1", "source": "B c.", "references": 5}\n',
+        2,
+    ),
+    "string-references": (
+        "dev.jsonl",
+        GOOD_INSTANCE + '{"id": "1", "source": "B c.", "references": "abc"}\n',
+        2,
+    ),
+    "int-and-string-id": (
+        "dev.jsonl",
+        '{"id": 1, "source": "A b.", "references": ["A."]}\n\n'
+        '{"id": "1", "source": "B c.", "references": ["B."]}\n',
+        3,
+    ),
+    "embedding-bad-json": ("emb.jsonl", GOOD_VECTOR + '{"token": "b", \n', 2),
+    "embedding-no-vector": ("emb.jsonl", GOOD_VECTOR + '{"token": "b"}\n', 2),
+    "embedding-keyed-tok": (
+        "emb.jsonl", GOOD_VECTOR + '{"tok": "b", "vector": [0.0, 1.0]}\n', 2
+    ),
+    "embedding-string-vector": (
+        "emb.jsonl", GOOD_VECTOR + '{"token": "b", "vector": "01"}\n', 2
+    ),
+    "embedding-file-missing": ("emb.jsonl", None, None),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_INPUTS))
+def test_malformed_input_names_file_and_line(case, tmp_path, capsys):
+    name, text, lineno = MALFORMED_INPUTS[case]
+    files = {"dev.jsonl": GOOD_INSTANCE, "emb.jsonl": GOOD_VECTOR, name: text}
+    for file, content in files.items():
+        if content is not None:
+            (tmp_path / file).write_text(content)
+    code, _, err = run_cli(
+        capsys, "score", tmp_path / "dev.jsonl", "--metric", "bertprec",
+        "--embeddings", f"file:{tmp_path / 'emb.jsonl'}", "-o", tmp_path / "s.jsonl",
+    )
+    assert code == 2
+    if lineno is None:
+        assert f"{tmp_path / name} not found" in err
+    else:
+        assert f"{tmp_path / name}:{lineno}: " in err
+
+
+def test_select_rejects_a_non_numeric_score(corpus_file, tmp_path, capsys):
+    scores = tmp_path / "scores.jsonl"
+    run_cli(capsys, "score", corpus_file, "--metric", "cr", "-o", scores)
+    lines = scores.read_text().splitlines(keepends=True)
+    lines[1] = json.dumps({**json.loads(lines[1]), "score": "high"}) + "\n"
+    scores.write_text("".join(lines))
+    code, _, err = run_cli(
+        capsys, "select", scores, "--k", "2", "-o", tmp_path / "s.json"
+    )
+    assert code == 2
+    assert f"{scores}:2: " in err
+
+
+def test_malformed_cache_line_is_quarantined(corpus_file, tmp_path, capsys):
+    cache = tmp_path / "cache.jsonl"
+    args = [
+        *_run_args(corpus_file, tmp_path), "--method", "cr", "--k", "1",
+        "--report", tmp_path / "r",
+    ]
+    assert run_cli(capsys, *args)[0] == 0
+    good = cache.read_text()
+    cache.write_text('{"digest": "x"}\n' + good)
+
+    code, _, _ = run_cli(capsys, *args)
+    assert code == 0
+    assert cache.read_text() == good
+    assert (tmp_path / "cache.jsonl.quarantine").read_text() == '{"digest": "x"}\n'
+
+
 def test_evaluate_command(tmp_path, capsys):
     preds = tmp_path / "preds.txt"
     corpus = FIXTURES / "pin_corpus.jsonl"

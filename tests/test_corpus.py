@@ -47,7 +47,7 @@ def test_load_parallel_two_refs(tmp_path):
     )
     corpus = load_parallel(d)
     assert len(corpus) == 2
-    assert corpus.reference_count == 2
+    assert [inst.n_references for inst in corpus] == [2, 2]
     assert corpus.instances[0].id == "0"
     assert corpus.instances[1].references[1].raw == "Small dog."
 
@@ -79,7 +79,7 @@ def test_load_jsonl_single(tmp_path):
     write(p, '{"id":"0","source":"A b.","references":["A b."]}\n')
     corpus = load_jsonl(p)
     assert len(corpus) == 1
-    assert corpus.reference_count == 1
+    assert corpus.instances[0].n_references == 1
 
 
 def test_load_jsonl_empty_references(tmp_path):
@@ -129,11 +129,3 @@ def test_parallel_and_jsonl_agree(tmp_path):
     assert [i.source.raw for i in parallel] == [i.source.raw for i in jsonl]
     assert [i.id for i in parallel] == [i.id for i in jsonl]
 
-
-def test_ragged_corpus_flag(toy_corpus):
-    assert not toy_corpus.ragged
-    from conftest import make_corpus
-
-    ragged = make_corpus([("0", "A cat.", ["A."]), ("1", "B dog.", ["B.", "C."])])
-    assert ragged.ragged
-    assert ragged.reference_count is None

@@ -107,14 +107,7 @@ def test_file_backend_strict_missing_token(tmp_path):
     p = tmp_path / "emb.jsonl"
     p.write_text(json.dumps({"token": "cat", "vector": [1.0, 0.0]}) + "\n")
     with pytest.raises(TokenNotFound):
-        embed_tokens(sent("cat dog"), FileBackend(p, strict=True))
-
-
-def test_file_backend_non_strict_falls_back(tmp_path):
-    p = tmp_path / "emb.jsonl"
-    p.write_text(json.dumps({"token": "cat", "vector": [1.0, 0.0]}) + "\n")
-    m = embed_tokens(sent("cat dog"), FileBackend(p, strict=False))
-    assert m.shape == (2, 2)
+        embed_tokens(sent("cat dog"), FileBackend(p))
 
 
 def test_backend_row_count_checked():
@@ -156,6 +149,9 @@ def embed_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
 
 
 def test_http_backend(embed_server):

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import load_pins, make_corpus, sent
+from conftest import CountingBackend, load_pins, make_corpus, sent
 from mbicl import (
     CompletionClient,
     ExperimentConfig,
@@ -18,7 +18,7 @@ from mbicl.metrics import bleu_corpus, sari_corpus
 
 def echo_client(cache_path=None):
     cache = ResponseCache(cache_path) if cache_path else None
-    return CompletionClient(MockEchoBackend(), cache)
+    return CompletionClient(CountingBackend(MockEchoBackend()), cache)
 
 
 def config_for(tune, test, client, **kwargs):
@@ -73,12 +73,12 @@ def test_replay_is_byte_identical_with_zero_backend_calls(
     first_client = echo_client(path)
     config = config_for(toy_corpus, echo_corpus, first_client, k_values=(1, 2))
     reports_a, _ = run_experiment(config)
-    assert first_client.backend.invocations == 2 * len(echo_corpus)
+    assert first_client.backend.calls == 2 * len(echo_corpus)
 
     second_client = echo_client(path)
     config = config_for(toy_corpus, echo_corpus, second_client, k_values=(1, 2))
     reports_b, _ = run_experiment(config)
-    assert second_client.backend.invocations == 0
+    assert second_client.backend.calls == 0
     assert [r.to_json() for r in reports_a] == [r.to_json() for r in reports_b]
 
 

@@ -4,7 +4,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
-from conftest import sent
+from conftest import CountingBackend, sent
 from mbicl import (
     CompletionClient,
     GenerationParams,
@@ -61,11 +61,11 @@ def test_mock_first_reference(toy_corpus):
 
 
 def test_cache_hit_skips_backend(tmp_path):
-    backend = MockEchoBackend()
+    backend = CountingBackend(MockEchoBackend())
     client = CompletionClient(backend, ResponseCache(tmp_path / "cache.jsonl"))
     client.complete(prompt_for("A big cat."), PARAMS)
     client.complete(prompt_for("A big cat."), PARAMS)
-    assert backend.invocations == 1
+    assert backend.calls == 1
 
 
 def test_cache_persists_across_clients(tmp_path):
@@ -73,21 +73,21 @@ def test_cache_persists_across_clients(tmp_path):
     first = CompletionClient(MockEchoBackend(), ResponseCache(path))
     record = first.complete(prompt_for("A big cat."), PARAMS)
 
-    backend = MockEchoBackend()
+    backend = CountingBackend(MockEchoBackend())
     second = CompletionClient(backend, ResponseCache(path))
     replay = second.complete(prompt_for("A big cat."), PARAMS)
-    assert backend.invocations == 0
+    assert backend.calls == 0
     assert replay.completion_text == record.completion_text
     assert replay.digest == record.digest
 
 
 def test_cache_invocations_equal_distinct_digests(tmp_path):
-    backend = MockEchoBackend()
+    backend = CountingBackend(MockEchoBackend())
     client = CompletionClient(backend, ResponseCache(tmp_path / "c.jsonl"))
     queries = ["One cat.", "Two cats.", "One cat.", "Three cats.", "Two cats."]
     for q in queries:
         client.complete(prompt_for(q), PARAMS)
-    assert backend.invocations == 3
+    assert backend.calls == 3
 
 
 def test_digest_covers_params():
@@ -112,12 +112,12 @@ def test_cache_quarantines_damaged_tail(tmp_path):
     with path.open("a", encoding="utf-8") as fh:
         fh.write('{"digest": "truncat')
 
-    backend = MockEchoBackend()
+    backend = CountingBackend(MockEchoBackend())
     reopened = CompletionClient(backend, ResponseCache(path))
     assert len(reopened.cache) == 2
     assert (tmp_path / "cache.jsonl.quarantine").exists()
     reopened.complete(prompt_for("A cat."), PARAMS)
-    assert backend.invocations == 0
+    assert backend.calls == 0
     # cache file itself is clean again
     ResponseCache(path)
     assert not path.read_text().endswith("truncat")
@@ -131,14 +131,40 @@ def test_cache_quarantines_damaged_tail(tmp_path):
     lines[1] = lines[1][:40] + "\n"
     middle.write_text("".join(lines))
 
-    backend = MockEchoBackend()
+    backend = CountingBackend(MockEchoBackend())
     reopened = CompletionClient(backend, ResponseCache(middle))
     assert len(reopened.cache) == 9
     assert (tmp_path / "middle.jsonl.quarantine").read_text() == lines[1]
     assert middle.read_text() == "".join(lines[:1] + lines[2:])
     for i in (0, 2, 9):
         reopened.complete(prompt_for(f"Sentence {i}."), PARAMS)
-    assert backend.invocations == 0
+    assert backend.calls == 0
+
+
+def test_cache_record_without_newline_keeps_the_next(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    client = CompletionClient(MockEchoBackend(), ResponseCache(path))
+    for q in ("One cat.", "Two cats.", "Three cats."):
+        client.complete(prompt_for(q), PARAMS)
+    path.write_text(path.read_text().rstrip("\n"))
+
+    client = CompletionClient(MockEchoBackend(), ResponseCache(path))
+    client.complete(prompt_for("Four cats."), PARAMS)
+    assert len(ResponseCache(path)) == 4
+    assert not (tmp_path / "cache.jsonl.quarantine").exists()
+
+
+def test_cache_keeps_records_holding_unicode_line_breaks(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    client = CompletionClient(MockEchoBackend(), ResponseCache(path))
+    client.complete(prompt_for("A cat\u2028sat\x85down."), PARAMS)
+
+    backend = CountingBackend(MockEchoBackend())
+    reopened = CompletionClient(backend, ResponseCache(path))
+    assert len(reopened.cache) == 1
+    reopened.complete(prompt_for("A cat\u2028sat\x85down."), PARAMS)
+    assert backend.calls == 0
+    assert not (tmp_path / "cache.jsonl.quarantine").exists()
 
 
 def test_batch_complete_order_and_isolation(toy_corpus):
@@ -156,7 +182,7 @@ def test_batch_complete_order_and_isolation(toy_corpus):
 
 
 def test_batch_complete_sequential():
-    backend = MockEchoBackend()
+    backend = CountingBackend(MockEchoBackend())
     client = CompletionClient(backend)
     results = client.batch_complete(
         [prompt_for(f"Cat number {i}.") for i in range(3)], PARAMS, max_in_flight=1
@@ -164,7 +190,7 @@ def test_batch_complete_sequential():
     assert [r.completion_text for r in results] == [
         "Cat number 0.", "Cat number 1.", "Cat number 2."
     ]
-    assert backend.invocations == 3
+    assert backend.calls == 3
 
 
 # -- HTTP backend --------------------------------------------------------
@@ -205,6 +231,9 @@ def chat_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
 
 
 def http_backend(url, **kwargs):

@@ -169,6 +169,14 @@ def test_order_examples_preserves_multiset():
         )
 
 
+def test_order_examples_records_only_a_random_seed(toy_corpus):
+    chosen = select_top_k([make_pair(str(i), score=i) for i in range(4)], 2)
+    assert order_examples(chosen, "high-to-low", seed=5).seed is None
+    assert order_examples(chosen, "random", seed=5).seed == 5
+    drawn = random_select(toy_corpus, 2, seed=3)
+    assert order_examples(drawn, "low-to-high", seed=5).seed == 3
+
+
 def test_random_select_deterministic(toy_corpus):
     a = random_select(toy_corpus, 4, seed=17)
     b = random_select(toy_corpus, 4, seed=17)
