@@ -12,13 +12,12 @@ import click
 
 from . import embeddings as emb
 from . import evaluation, llm, selection
-from .corpus import Sentence, load_jsonl, load_parallel
+from .corpus import Sentence, load_jsonl, load_parallel, read_lines
 from .errors import BackendError, DataError, MbiclError, UsageError
 from .llm import GenerationParams
 from .prompting import PromptTemplate, build_prompt, load_template
 
 ORDERING_CHOICES = [o.value for o in selection.Ordering]
-METHOD_CHOICES = ["sari", "cr", "bertprec", "random", "kate", "zero-shot"]
 
 
 def _load_corpus(path, split="validation"):
@@ -28,29 +27,8 @@ def _load_corpus(path, split="validation"):
     return load_jsonl(path, split=split)
 
 
-def _embedding_backend(spec_string):
-    if spec_string is None:
-        return None
-    try:
-        return emb.make_backend(spec_string)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def _template(path):
     return load_template(path) if path else PromptTemplate()
-
-
-def _params(model, temperature, max_tokens, top_p):
-    try:
-        return GenerationParams(
-            temperature=temperature,
-            max_tokens=max_tokens,
-            top_p=top_p,
-            model_id=model,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
 
 
 @click.group()
@@ -67,7 +45,7 @@ def cli():
 def score(corpus_path, metric, embeddings_spec, output):
     """Score every (complex, reference) pair of a dev corpus."""
     corpus = _load_corpus(corpus_path)
-    backend = _embedding_backend(embeddings_spec)
+    backend = emb.make_backend(embeddings_spec) if embeddings_spec else None
     pairs = selection.score_pairs(corpus, metric, backend)
     selection.save_scored_pairs(pairs, output)
     click.echo(f"wrote {len(pairs)} scored pairs to {output}")
@@ -82,8 +60,6 @@ def score(corpus_path, metric, embeddings_spec, output):
 def select(scores_path, k, ordering, seed, output):
     """Pick the top-k pairs from a scored-pair dump and order them."""
     pairs = selection.load_scored_pairs(scores_path)
-    if ordering == selection.Ordering.RANDOM.value and seed is None:
-        raise UsageError("random ordering needs --seed")
     chosen = selection.select_top_k(pairs, k)
     chosen = selection.order_examples(chosen, ordering, seed)
     selection.save_example_set(chosen, output)
@@ -102,20 +78,6 @@ def build_prompt_cmd(example_set_path, query, template_path):
     )
     prompt = build_prompt(_template(template_path), examples, Sentence.from_raw(query))
     click.echo(prompt.text, nl=False)
-
-
-def _completion_client(backend_name, cache_path, test_corpus, base_url, api_key,
-                       legacy_completions):
-    kwargs = {}
-    if backend_name == "http":
-        kwargs = {
-            "base_url": base_url,
-            "api_key": api_key,
-            "legacy_completions": legacy_completions,
-        }
-    backend = llm.make_backend(backend_name, test_corpus=test_corpus, **kwargs)
-    cache = llm.ResponseCache(cache_path) if cache_path else None
-    return llm.CompletionClient(backend, cache)
 
 
 _run_options = [
@@ -151,26 +113,31 @@ def _experiment_config(tune_path, test_path, backend_name, embeddings_spec,
                        max_in_flight, method, k_values, orderings, seeds):
     tune = _load_corpus(tune_path, split="validation")
     test = _load_corpus(test_path, split="test")
-    client = _completion_client(
-        backend_name, cache_path, test, base_url, api_key, legacy_completions
+    backend = llm.make_backend(
+        backend_name, test, base_url, api_key, legacy_completions
     )
+    cache = llm.ResponseCache(cache_path) if cache_path else None
+    embedding_backend = emb.make_backend(embeddings_spec) if embeddings_spec else None
     return evaluation.ExperimentConfig(
         tune_corpus=tune,
         test_corpus=test,
-        client=client,
+        client=llm.CompletionClient(backend, cache),
         selection_method=method,
         k_values=tuple(k_values),
         orderings=tuple(orderings),
         seeds=tuple(seeds),
         template=_template(template_path),
-        params=_params(model, temperature, max_tokens, top_p),
-        embedding_backend=_embedding_backend(embeddings_spec),
+        params=GenerationParams(
+            temperature=temperature, max_tokens=max_tokens, top_p=top_p, model_id=model
+        ),
+        embedding_backend=embedding_backend,
         bleu_order=bleu_order,
         max_in_flight=max_in_flight,
     )
 
 
 def _emit(reports, failures, out_dir):
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
     for report in reports:
         evaluation.write_report(report, out_dir)
     evaluation.write_grid_csv(reports, Path(out_dir) / "grid.csv")
@@ -183,7 +150,7 @@ def _emit(reports, failures, out_dir):
 
 @cli.command()
 @_with_run_options
-@click.option("--method", default="sari", type=click.Choice(METHOD_CHOICES))
+@click.option("--method", default="sari", type=click.Choice(evaluation.METHODS))
 @click.option("--k", type=int, default=None, help="ignored with --example-set")
 @click.option("--example-set", "example_set_path", type=click.Path(exists=True),
               default=None, help="pre-selected examples; skips selection flags")
@@ -200,10 +167,7 @@ def run(method, k, example_set_path, ordering, seed, out_dir, **run_kwargs):
         seed = example_set.seed
     elif k is None:
         raise UsageError("either --k or --example-set is required")
-    if not evaluation.needs_seed(method, ordering):
-        seed = None
-    elif seed is None:
-        raise UsageError("--seed is required for random selection or ordering")
+    [seed] = evaluation.cell_seeds(method, ordering, [seed])
 
     config = _experiment_config(
         method=method, k_values=[k], orderings=[ordering], seeds=[seed], **run_kwargs
@@ -233,8 +197,7 @@ def run(method, k, example_set_path, ordering, seed, out_dir, **run_kwargs):
 def evaluate_cmd(test_path, predictions_path, bleu_order, output):
     """Score an existing prediction file against a test corpus."""
     test = _load_corpus(test_path, split="test")
-    lines = Path(predictions_path).read_text(encoding="utf-8").splitlines()
-    predictions = [Sentence.from_raw(line) for line in lines if line.strip()]
+    predictions = [Sentence.from_raw(line) for line in read_lines(predictions_path)]
     report = evaluation.evaluate(test, predictions, bleu_order=bleu_order)
     Path(output).write_text(report.to_json(), encoding="utf-8")
     click.echo(f"SARI {report.sari:.2f}  BLEU {report.bleu:.2f}")
@@ -242,24 +205,19 @@ def evaluate_cmd(test_path, predictions_path, bleu_order, output):
 
 @cli.command()
 @_with_run_options
-@click.option("--method", default="sari", type=click.Choice(METHOD_CHOICES))
+@click.option("--method", default="sari", type=click.Choice(evaluation.METHODS))
 @click.option("--k-list", default="1,2,4,6,8,10,15,20",
               help="comma-separated k values; 0 means zero-shot")
 @click.option("--orderings", "orderings_csv", default="high-to-low",
               help="comma-separated ordering strategies")
 @click.option("--seed", "seeds_csv", default=None,
-              help="comma-separated seeds; required in grid mode")
+              help="comma-separated seeds; required for random selection or ordering")
 @click.option("--out-dir", required=True, type=click.Path())
 def grid(method, k_list, orderings_csv, seeds_csv, out_dir, **run_kwargs):
     """Run a full (k x ordering[ x seed]) experiment grid."""
-    if seeds_csv is None:
-        raise UsageError("--seed is required in grid mode")
     k_values = [int(v) for v in k_list.split(",") if v.strip()]
     orderings = [v.strip() for v in orderings_csv.split(",") if v.strip()]
-    seeds = [int(v) for v in seeds_csv.split(",") if v.strip()]
-    for ordering in orderings:
-        if ordering not in ORDERING_CHOICES:
-            raise UsageError(f"unknown ordering {ordering!r}")
+    seeds = [int(v) for v in (seeds_csv or "").split(",") if v.strip()]
     config = _experiment_config(
         method=method, k_values=k_values, orderings=orderings, seeds=seeds,
         **run_kwargs

@@ -82,8 +82,9 @@ class Corpus:
         return iter(self.instances)
 
 
-def _read_lines(path):
-    lines = path.read_text(encoding="utf-8").split("\n")
+def read_lines(path):
+    """The lines of a line-aligned text file; a blank line is an EmptyLine."""
+    lines = Path(path).read_text(encoding="utf-8").split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     for i, line in enumerate(lines):
@@ -104,10 +105,10 @@ def load_parallel(dir_path, name=None, split="validation"):
     if not ref_paths:
         raise MissingFile(f"no ref.<i>.txt files in {dir_path}")
 
-    sources = _read_lines(complex_path)
+    sources = read_lines(complex_path)
     ref_columns = []
     for ref_path in ref_paths:
-        lines = _read_lines(ref_path)
+        lines = read_lines(ref_path)
         if len(lines) != len(sources):
             raise LineCountMismatch(str(ref_path), len(sources), len(lines))
         ref_columns.append(lines)

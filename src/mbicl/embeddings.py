@@ -22,6 +22,7 @@ from .errors import (
     DimensionMismatch,
     EmptyEmbedding,
     TokenNotFound,
+    UsageError,
 )
 
 DEFAULT_DIM = 32
@@ -167,4 +168,4 @@ def make_backend(spec_string):
         if not url.startswith("//"):
             return HttpBackend(url)
         return HttpBackend("http:" + url)
-    raise ValueError(f"unknown embedding backend {spec_string!r}")
+    raise UsageError(f"unknown embedding backend {spec_string!r}")

@@ -9,8 +9,8 @@ class MbiclError(Exception):
     """Base class for all package errors."""
 
 
-class UsageError(MbiclError):
-    """Bad flags / bad invocation."""
+class UsageError(MbiclError, ValueError):
+    """A bad argument value, from a flag or a library call."""
 
 
 class DataError(MbiclError):

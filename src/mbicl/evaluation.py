@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import selection as sel
-from .errors import LengthMismatch, MbiclError
+from .errors import LengthMismatch, MbiclError, UsageError
 from .llm import CompletionClient, GenerationParams
 from .metrics import bleu_corpus, sari_sentence
 from .prompting import PromptTemplate, build_prompt, parse_completion
@@ -21,6 +21,7 @@ from .prompting import PromptTemplate, build_prompt, parse_completion
 log = logging.getLogger(__name__)
 
 DEFAULT_K_GRID = (1, 2, 4, 6, 8, 10, 15, 20)
+METHODS = ("sari", "cr", "bertprec", "random", "kate", "zero-shot")
 
 
 @dataclass(frozen=True)
@@ -34,16 +35,8 @@ class EvalReport:
     manifest: dict
 
     def to_json(self):
-        obj = {
-            "run_id": self.run_id,
-            "corpus_name": self.corpus_name,
-            "sari": self.sari,
-            "bleu": self.bleu,
-            "bleu_order": self.bleu_order,
-            "per_sentence": list(self.per_sentence),
-            "manifest": self.manifest,
-        }
-        return json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
+        text = json.dumps(asdict(self), sort_keys=True, ensure_ascii=False, indent=2)
+        return text + "\n"
 
 
 def evaluate(test_corpus, predictions, bleu_order=4, run_id="adhoc", manifest=None):
@@ -76,7 +69,7 @@ class ExperimentConfig:
     tune_corpus: object  # Corpus examples are selected from
     test_corpus: object  # Corpus prompts are evaluated on
     client: CompletionClient
-    selection_method: str  # sari | cr | bertprec | random | kate | zero-shot
+    selection_method: str  # one of METHODS
     k_values: tuple = DEFAULT_K_GRID
     orderings: tuple = (sel.Ordering.HIGH_TO_LOW.value,)
     seeds: tuple = (0,)
@@ -85,6 +78,10 @@ class ExperimentConfig:
     embedding_backend: object = None
     bleu_order: int = 4
     max_in_flight: int = 4
+
+    def __post_init__(self):
+        for ordering in self.orderings:
+            cell_seeds(self.selection_method, ordering, self.seeds)
 
     def base_manifest(self):
         return {
@@ -105,9 +102,21 @@ def cell_id(method, k, ordering, seed):
     return cell
 
 
-def needs_seed(method, ordering):
-    """Whether a cell of *method* and *ordering* draws random numbers."""
-    return method == "random" or ordering == sel.Ordering.RANDOM.value
+def cell_seeds(method, ordering, seeds):
+    """The seeds the cells of *method* and *ordering* run with.
+
+    A cell that draws no random numbers runs once, with seed None; a random
+    selection or ordering runs once per seed and needs at least one.
+    """
+    try:
+        ordering = sel.Ordering(ordering)
+    except ValueError:
+        raise UsageError(f"unknown ordering {ordering!r}") from None
+    if method != "random" and ordering is not sel.Ordering.RANDOM:
+        return (None,)
+    if not seeds or None in seeds:
+        raise UsageError("random selection or ordering needs --seed")
+    return tuple(seeds)
 
 
 def _example_sets(config, scored_cache, k, ordering, seed):
@@ -183,12 +192,7 @@ def run_experiment(config):
     failures = {}
     for k in config.k_values:
         for ordering in config.orderings:
-            seeds = (
-                config.seeds
-                if needs_seed(config.selection_method, ordering)
-                else (None,)
-            )
-            for seed in seeds:
+            for seed in cell_seeds(config.selection_method, ordering, config.seeds):
                 try:
                     example_sets, selected_pairs = _example_sets(
                         config, scored_cache, k, ordering, seed

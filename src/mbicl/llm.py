@@ -19,7 +19,14 @@ from pathlib import Path
 import requests
 
 from .corpus import decode
-from .errors import AuthError, BackendError, BackendUnavailable, ParseError, RateLimited
+from .errors import (
+    AuthError,
+    BackendError,
+    BackendUnavailable,
+    ParseError,
+    RateLimited,
+    UsageError,
+)
 from .prompting import COMPLEX_MARKER, SIMPLE_MARKER
 
 API_KEY_ENV = "MBICL_API_KEY"
@@ -37,11 +44,11 @@ class GenerationParams:
 
     def __post_init__(self):
         if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+            raise UsageError("temperature must be >= 0")
         if not 0 < self.top_p <= 1:
-            raise ValueError("top_p must be in (0, 1]")
+            raise UsageError("top_p must be in (0, 1]")
         if self.max_tokens < 1:
-            raise ValueError("max_tokens must be >= 1")
+            raise UsageError("max_tokens must be >= 1")
 
 
 def request_digest(prompt_text, params):
@@ -66,9 +73,7 @@ class GenerationRecord:
 
 
 def _record_to_json(record):
-    obj = asdict(record)
-    obj["params"] = asdict(record.params)
-    return json.dumps(obj, sort_keys=True, ensure_ascii=False)
+    return json.dumps(asdict(record), sort_keys=True, ensure_ascii=False)
 
 
 def _record_from_json(obj):
@@ -242,12 +247,18 @@ class ResponseCache:
             return self._records.get(digest)
 
     def put(self, record):
+        # one write(2) to an O_APPEND descriptor, so that the records of
+        # processes sharing the cache do not interleave
+        line = (_record_to_json(record) + "\n").encode("utf-8")
         with self._lock:
             if record.digest in self._records:
                 return
             self._records[record.digest] = record
-            with self.path.open("a", encoding="utf-8") as fh:
-                fh.write(_record_to_json(record) + "\n")
+            fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+            try:
+                os.write(fd, line)
+            finally:
+                os.close(fd)
 
     def __len__(self):
         return len(self._records)
@@ -287,7 +298,7 @@ class CompletionClient:
         the exception that killed it.
         """
         if max_in_flight < 1:
-            raise ValueError("max_in_flight must be >= 1")
+            raise UsageError("max_in_flight must be >= 1")
 
         def one(prompt):
             try:
@@ -299,8 +310,12 @@ class CompletionClient:
             return list(pool.map(one, prompts))
 
 
-def make_backend(name, test_corpus=None, **kwargs):
-    """Backend factory for the CLI: http, mock-echo, or mock-first-reference."""
+def make_backend(name, test_corpus=None, base_url=None, api_key=None,
+                 legacy_completions=False):
+    """Backend factory for the CLI: http, mock-echo, or mock-first-reference.
+
+    *test_corpus* feeds mock-first-reference; the rest configure http.
+    """
     if name == "mock-echo":
         return MockEchoBackend()
     if name == "mock-first-reference":
@@ -308,5 +323,5 @@ def make_backend(name, test_corpus=None, **kwargs):
             raise BackendUnavailable("mock-first-reference needs a test corpus")
         return MockFirstReferenceBackend.for_corpus(test_corpus)
     if name == "http":
-        return HttpBackend(**kwargs)
-    raise ValueError(f"unknown completion backend {name!r}")
+        return HttpBackend(base_url, api_key, legacy_completions)
+    raise UsageError(f"unknown completion backend {name!r}")

@@ -22,6 +22,7 @@ from .errors import (
     EmptySentence,
     LengthMismatch,
     NoReferences,
+    UsageError,
 )
 
 SARI_MAX_ORDER = 4
@@ -167,6 +168,8 @@ def bleu_corpus(predictions, reference_lists, max_order=4):
         )
     if not predictions:
         raise EmptyCorpus("cannot score an empty corpus")
+    if max_order < 1:
+        raise UsageError("BLEU order must be >= 1")
 
     matches = [0] * max_order
     totals = [0] * max_order

@@ -19,6 +19,7 @@ from .errors import (
     EmbeddingBackendMissing,
     EmptyCorpus,
     SariNeedsMultipleReferences,
+    UsageError,
 )
 from .metrics import Metric, bertscore_precision, compression_ratio, sari_sentence
 
@@ -126,7 +127,7 @@ def _rank_key(pair):
 def select_top_k(pairs, k):
     """The k best-scoring pairs, ties broken by (score desc, id asc, ref asc)."""
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise UsageError("k must be >= 1")
     ranked = sorted(pairs, key=_rank_key)
     if k > len(ranked):
         log.warning("k=%d exceeds candidate pool of %d; returning all", k, len(ranked))
@@ -155,7 +156,7 @@ def order_examples(example_set, ordering, seed=None):
         pairs.sort(key=_rank_key, reverse=True)
     else:
         if seed is None:
-            raise ValueError("random ordering needs a seed")
+            raise UsageError("random ordering needs a seed")
         random.Random(seed).shuffle(pairs)
         example_set = replace(example_set, seed=seed)
     return replace(example_set, pairs=tuple(pairs), ordering=ordering.value)
@@ -165,7 +166,7 @@ def random_select(corpus, k, seed):
     """k distinct (complex, reference) pairs drawn uniformly without
     replacement from the whole candidate population."""
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise UsageError("k must be >= 1")
     population = [
         ScoredPair(
             instance_id=inst.id,
@@ -201,7 +202,7 @@ def kate_select(dev, query, k, embedding_backend):
     if embedding_backend is None:
         raise EmbeddingBackendMissing("similarity retrieval needs --embeddings")
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise UsageError("k must be >= 1")
     query_vec = emb.embed_sentence(query, embedding_backend)
     scored = []
     for inst in dev:
@@ -286,7 +287,7 @@ def _example_set_from_json(obj):
     return ExampleSet(
         pairs=tuple(_pair_from_json(p) for p in obj["pairs"]),
         k=obj["k"],
-        ordering=obj["ordering"],
+        ordering=Ordering(obj["ordering"]).value,
         selection_method=obj["selection_method"],
         seed=obj.get("seed"),
     )

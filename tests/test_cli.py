@@ -237,6 +237,15 @@ def test_malformed_example_set_is_data_error(corpus_file, tmp_path, capsys):
     )
     assert code == 2 and "reference_index" in err
 
+    obj = json.loads(_cr_example_set(capsys, corpus_file, tmp_path).read_text())
+    set_path.write_text(json.dumps({**obj, "ordering": "bogus"}))
+    code, _, err = run_cli(
+        capsys, *_run_args(corpus_file, tmp_path), "--example-set", set_path,
+        "--report", tmp_path / "r",
+    )
+    assert code == 2 and f"{set_path}:1: " in err
+    assert not (tmp_path / "r").exists()
+
     set_path.write_text("not json\n")
     code, _, _ = run_cli(
         capsys, *_run_args(corpus_file, tmp_path), "--example-set", set_path,
@@ -352,12 +361,93 @@ def test_evaluate_command(tmp_path, capsys):
     assert report["bleu"] == pytest.approx(pins["corpus_bleu_order4"], abs=1e-4)
 
 
-def test_grid_requires_seed(corpus_file, tmp_path, capsys):
-    code, _, _ = run_cli(
-        capsys, "grid", "--tune", corpus_file, "--test", corpus_file,
-        "--out-dir", tmp_path / "g",
+def test_evaluate_rejects_a_blank_prediction_line(tmp_path, capsys):
+    corpus = tmp_path / "test.jsonl"
+    lines = (FIXTURES / "pin_corpus.jsonl").read_text().splitlines(keepends=True)
+    corpus.write_text("".join(lines[:3]))
+    preds = tmp_path / "preds.txt"
+    lines = (FIXTURES / "pin_predictions.txt").read_text().splitlines()[:3]
+    lines[1] = ""
+    preds.write_text("\n".join(lines + ["An extra line."]) + "\n")
+    code, _, err = run_cli(
+        capsys, "evaluate", "--test", corpus, "--predictions", preds,
+        "-o", tmp_path / "report.json",
+    )
+    assert code == 2
+    assert f"{preds}:2: empty line" in err
+
+
+def test_grid_needs_a_seed_only_for_random_cells(corpus_file, tmp_path, capsys):
+    args = ("grid", "--tune", corpus_file, "--test", corpus_file, "--k-list", "1,2")
+    code, _, _ = run_cli(capsys, *args, "--out-dir", tmp_path / "sari")
+    assert code == 0
+    assert sorted(p.name for p in (tmp_path / "sari").iterdir()) == [
+        "grid.csv", "sari-k1-high-to-low.json", "sari-k2-high-to-low.json"
+    ]
+    code, _, err = run_cli(
+        capsys, *args, "--method", "random", "--out-dir", tmp_path / "random"
     )
     assert code == 1
+    assert "--seed" in err
+
+
+_RUN = ("run", "--tune", "{dev}", "--test", "{test}", "--report", "{out}")
+_GRID = ("grid", "--tune", "{dev}", "--test", "{test}", "--out-dir", "{out}",
+         "--method", "cr", "--k-list", "1")
+
+# case: (the error it reports, its arguments)
+BAD_ARGUMENTS = {
+    "select --k 0": (
+        "k must be >= 1", ("select", "{scores}", "--k", "0", "-o", "{out}")
+    ),
+    "run --k -1": ("k must be >= 1", (*_RUN, "--method", "cr", "--k", "-1")),
+    "grid --max-in-flight 0": (
+        "max_in_flight must be >= 1", (*_GRID, "--max-in-flight", "0")
+    ),
+    "--temperature -1": (
+        "temperature must be >= 0", (*_RUN, "--k", "1", "--temperature", "-1")
+    ),
+    "--top-p 0": ("top_p must be in (0, 1]", (*_GRID, "--top-p", "0")),
+    "--bleu-order 0": (
+        "BLEU order must be >= 1", (*_RUN, "--k", "1", "--bleu-order", "0")
+    ),
+    "--embeddings bogus": (
+        "unknown embedding backend 'bogus'",
+        (*_RUN, "--k", "1", "--embeddings", "bogus"),
+    ),
+    "grid --orderings bogus": (
+        "unknown ordering 'bogus'", (*_GRID, "--orderings", "bogus")
+    ),
+    "grid random ordering without --seed": (
+        "needs --seed", (*_GRID, "--orderings", "random")
+    ),
+    "run random ordering without --seed": (
+        "needs --seed", (*_RUN, "--k", "1", "--ordering", "random")
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_ARGUMENTS))
+def test_bad_argument_is_usage_error(case, corpus_file, tmp_path, capsys):
+    scores = tmp_path / "scores.jsonl"
+    run_cli(capsys, "score", corpus_file, "--metric", "cr", "-o", scores)
+    paths = {"dev": corpus_file, "test": FIXTURES / "echo_corpus.jsonl",
+             "scores": scores, "out": tmp_path / "out"}
+    message, args = BAD_ARGUMENTS[case]
+    code, _, err = run_cli(capsys, *(a.format(**paths) for a in args))
+    assert code == 1
+    assert "error: " in err and message in err
+    assert "Traceback" not in err
+
+
+def test_run_whose_every_cell_fails_reports_the_cell(corpus_file, tmp_path, capsys):
+    code, _, err = run_cli(
+        capsys, *_run_args(corpus_file, tmp_path), "--method", "bertprec",
+        "--k", "2", "--report", tmp_path / "fresh",
+    )
+    assert code == 1
+    assert "cell bertprec-k2-high-to-low failed: " in err
+    assert "Traceback" not in err
 
 
 def test_grid_emits_reports_and_csv(corpus_file, tmp_path, capsys):

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import pytest
 
 from conftest import CountingBackend, sent
+import mbicl
 from mbicl import (
     CompletionClient,
     GenerationParams,
@@ -164,6 +169,37 @@ def test_cache_keeps_records_holding_unicode_line_breaks(tmp_path):
     assert len(reopened.cache) == 1
     reopened.complete(prompt_for("A cat\u2028sat\x85down."), PARAMS)
     assert backend.calls == 0
+    assert not (tmp_path / "cache.jsonl.quarantine").exists()
+
+
+# Each process puts 25 records whose prompts are over 8 KiB, larger than one
+# buffered-file flush, into one shared cache.
+PUT_RECORDS = """
+import sys
+from mbicl import GenerationParams, ResponseCache
+from mbicl.llm import GenerationRecord, request_digest
+
+cache = ResponseCache(sys.argv[1])
+params = GenerationParams()
+for i in range(25):
+    prompt = f"{sys.argv[2]}-{i} " + "x" * 9000
+    cache.put(GenerationRecord(
+        digest=request_digest(prompt, params), prompt_text=prompt,
+        completion_text="x", model_id=params.model_id, params=params,
+        backend="mock-echo",
+    ))
+"""
+
+
+def test_cache_appends_from_processes_do_not_interleave(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    env = {**os.environ, "PYTHONPATH": str(Path(mbicl.__file__).parents[1])}
+    workers = [
+        subprocess.Popen([sys.executable, "-c", PUT_RECORDS, path, str(n)], env=env)
+        for n in range(4)
+    ]
+    assert [w.wait(timeout=60) for w in workers] == [0] * 4
+    assert len(ResponseCache(path)) == 100
     assert not (tmp_path / "cache.jsonl.quarantine").exists()
 
 
