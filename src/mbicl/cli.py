@@ -31,6 +31,13 @@ def _template(path):
     return load_template(path) if path else PromptTemplate()
 
 
+def _int_list(ctx, param, value):
+    try:
+        return [int(v) for v in (value or "").split(",") if v.strip()]
+    except ValueError:
+        raise click.BadParameter(f"not a list of integers: {value!r}") from None
+
+
 @click.group()
 def cli():
     """Metric-based example selection for in-context text simplification."""
@@ -206,18 +213,16 @@ def evaluate_cmd(test_path, predictions_path, bleu_order, output):
 @cli.command()
 @_with_run_options
 @click.option("--method", default="sari", type=click.Choice(evaluation.METHODS))
-@click.option("--k-list", default="1,2,4,6,8,10,15,20",
+@click.option("--k-list", "k_values", default="1,2,4,6,8,10,15,20", callback=_int_list,
               help="comma-separated k values; 0 means zero-shot")
 @click.option("--orderings", "orderings_csv", default="high-to-low",
               help="comma-separated ordering strategies")
-@click.option("--seed", "seeds_csv", default=None,
+@click.option("--seed", "seeds", default=None, callback=_int_list,
               help="comma-separated seeds; required for random selection or ordering")
 @click.option("--out-dir", required=True, type=click.Path())
-def grid(method, k_list, orderings_csv, seeds_csv, out_dir, **run_kwargs):
+def grid(method, k_values, orderings_csv, seeds, out_dir, **run_kwargs):
     """Run a full (k x ordering[ x seed]) experiment grid."""
-    k_values = [int(v) for v in k_list.split(",") if v.strip()]
     orderings = [v.strip() for v in orderings_csv.split(",") if v.strip()]
-    seeds = [int(v) for v in (seeds_csv or "").split(",") if v.strip()]
     config = _experiment_config(
         method=method, k_values=k_values, orderings=orderings, seeds=seeds,
         **run_kwargs

@@ -15,7 +15,7 @@ from pathlib import Path
 from . import selection as sel
 from .errors import LengthMismatch, MbiclError, UsageError
 from .llm import CompletionClient, GenerationParams
-from .metrics import bleu_corpus, sari_sentence
+from .metrics import ReferenceCounts, bleu_corpus, sari_sentence
 from .prompting import PromptTemplate, build_prompt, parse_completion
 
 log = logging.getLogger(__name__)
@@ -39,20 +39,27 @@ class EvalReport:
         return text + "\n"
 
 
-def evaluate(test_corpus, predictions, bleu_order=4, run_id="adhoc", manifest=None):
-    """Score *predictions* against *test_corpus* with corpus SARI and BLEU."""
+def reference_tables(test_corpus, bleu_order):
+    """One ReferenceCounts per test instance, shared by SARI and BLEU."""
+    return [ReferenceCounts(i.source, i.references, bleu_order) for i in test_corpus]
+
+
+def evaluate(
+    test_corpus, predictions, bleu_order=4, run_id="adhoc", manifest=None, tables=None
+):
+    """Score *predictions* against *test_corpus* with corpus SARI and BLEU,
+    reading the corpus's reference_tables (built when *tables* is None)."""
     if len(predictions) != len(test_corpus):
         raise LengthMismatch(
             f"{len(predictions)} predictions for {len(test_corpus)} instances"
         )
+    tables = tables or reference_tables(test_corpus, bleu_order)
     per_sentence = []
-    for inst, pred in zip(test_corpus, predictions):
-        score = sari_sentence(inst.source, pred, inst.references)
+    for inst, pred, table in zip(test_corpus, predictions, tables, strict=True):
+        score = sari_sentence(inst.source, pred, table)
         per_sentence.append({"id": inst.id, "sari": score})
     sari = sum(row["sari"] for row in per_sentence) / len(per_sentence)
-    bleu = bleu_corpus(
-        predictions, [inst.references for inst in test_corpus], max_order=bleu_order
-    )
+    bleu = bleu_corpus(predictions, tables, max_order=bleu_order)
     return EvalReport(
         run_id=run_id,
         corpus_name=test_corpus.name,
@@ -151,11 +158,11 @@ def _example_sets(config, scored_cache, k, ordering, seed):
     return [chosen] * len(config.test_corpus), selected_pairs
 
 
-def run_cell(config, example_sets, selected_pairs, k, ordering, seed):
+def run_cell(config, example_sets, selected_pairs, k, ordering, seed, tables=None):
     """Prompt each test instance with its ExampleSet, complete, parse, score.
 
-    *example_sets* holds one ExampleSet per test instance, in corpus order.
-    The first failed completion is raised.
+    *example_sets* holds one ExampleSet per test instance, in corpus order;
+    *tables* go to evaluate. The first failed completion is raised.
     """
     prompts = [
         build_prompt(config.template, examples, inst.source)
@@ -179,6 +186,7 @@ def run_cell(config, example_sets, selected_pairs, k, ordering, seed):
         bleu_order=config.bleu_order,
         run_id=cell_id(config.selection_method, k, ordering, seed),
         manifest=manifest,
+        tables=tables,
     )
 
 
@@ -188,18 +196,15 @@ def run_experiment(config):
     Returns (reports, failures) where failures maps cell id to the error.
     """
     scored_cache = {}
+    tables = reference_tables(config.test_corpus, config.bleu_order)
     reports = []
     failures = {}
     for k in config.k_values:
         for ordering in config.orderings:
             for seed in cell_seeds(config.selection_method, ordering, config.seeds):
                 try:
-                    example_sets, selected_pairs = _example_sets(
-                        config, scored_cache, k, ordering, seed
-                    )
-                    reports.append(
-                        run_cell(config, example_sets, selected_pairs, k, ordering, seed)
-                    )
+                    chosen = _example_sets(config, scored_cache, k, ordering, seed)
+                    reports.append(run_cell(config, *chosen, k, ordering, seed, tables))
                 except MbiclError as exc:
                     cell = cell_id(config.selection_method, k, ordering, seed)
                     log.error("cell %s failed: %s", cell, exc)

@@ -23,6 +23,7 @@ from .errors import (
     AuthError,
     BackendError,
     BackendUnavailable,
+    DataError,
     ParseError,
     RateLimited,
     UsageError,
@@ -130,7 +131,15 @@ class MockFirstReferenceBackend:
 
     @classmethod
     def for_corpus(cls, corpus):
-        return cls({inst.source.raw: inst.references[0].raw for inst in corpus})
+        """The lookup of *corpus*; a repeated source must keep its first reference."""
+        lookup = {}
+        for inst in corpus:
+            first = lookup.setdefault(inst.source.raw, inst.references[0].raw)
+            if first != inst.references[0].raw:
+                raise DataError(
+                    f"instance {inst.id} repeats a source with another first reference"
+                )
+        return cls(lookup)
 
 
 class HttpBackend:

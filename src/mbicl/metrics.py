@@ -38,9 +38,7 @@ class Metric(str, Enum):
 
 def ngram_counts(tokens, order):
     """Multiset of n-grams of the given order, as a Counter of tuples."""
-    return Counter(
-        tuple(tokens[i : i + order]) for i in range(len(tokens) - order + 1)
-    )
+    return Counter(zip(*(tokens[i:] for i in range(order))))
 
 
 def _f1(p, r):
@@ -72,31 +70,84 @@ def bertscore_precision(candidate_embeddings, reference_embeddings):
     return float(sims.max(axis=1).mean())
 
 
-def _sari_operation_scores(src_counts, pred_counts, ref_counts, n_refs):
-    """Keep-F1, delete-precision, and add-F1 for one n-gram order.
+class ReferenceCounts:
+    """The reference side of SARI and BLEU for one instance, counted once.
 
-    ref_counts holds summed counts over all references; they enter the
-    arithmetic divided by n_refs.
+    Orders 1..4 hold SARI's terms: source counts, reference fractions (one
+    float object per distinct count), keep-recall terms in source-count order
+    and the number of addable n-grams. Orders 1..max_order hold BLEU's clip
+    maxima, up to order 4 only those above 1. A *source* of None skips SARI.
     """
-    ref_frac = {g: c / n_refs for g, c in ref_counts.items()}
 
+    def __init__(self, source, references, max_order=SARI_MAX_ORDER):
+        per_ref, summed = _reference_ngrams(references, max(SARI_MAX_ORDER, max_order))
+        self._tabulate(source, summed, len(references))
+        self.lengths = tuple(len(r.tokens) for r in references)
+        self.clip = [{} for _ in per_ref[0]]
+        for counts in per_ref:
+            for n, (clip, order_counts) in enumerate(zip(self.clip, counts)):
+                for g, c in order_counts.items():
+                    if c > clip.get(g, n < SARI_MAX_ORDER):
+                        clip[g] = c
+
+    @classmethod
+    def leave_one_out(cls, source, references):
+        """The SARI tables of *references* with each one held out in turn: the
+        summed counts minus the held-out reference's, zeros dropped."""
+        per_ref, summed = _reference_ngrams(references, SARI_MAX_ORDER)
+        tables = [cls.__new__(cls) for _ in references]
+        for table, counts in zip(tables, per_ref):
+            rest = [dict(total) for total in summed]
+            for left, held in zip(rest, counts):
+                for g, c in held.items():
+                    if left[g] == c:
+                        del left[g]
+                    else:
+                        left[g] -= c
+            table._tabulate(source, rest, len(references) - 1)
+        return tables
+
+    def _tabulate(self, source, summed, n_refs):
+        self.n_refs = n_refs
+        fracs = {c: c / n_refs for counts in summed for c in set(counts.values())}
+        self.frac = [dict(zip(c, map(fracs.__getitem__, c.values()))) for c in summed]
+        self.sari_terms = []
+        for n, frac in enumerate(self.frac if source is not None else (), 1):
+            src = ngram_counts(source.tokens, n)
+            keep = [(g, frac[g], min(c, frac[g])) for g, c in src.items() if g in frac]
+            self.sari_terms.append((src, frac, keep, len(frac) - len(keep)))
+
+    def __len__(self):
+        return self.n_refs
+
+
+def _reference_ngrams(references, top):
+    """Each reference's n-gram counts for orders 1..top, and their sums over
+    the references for orders 1..4."""
+    per_ref = [[ngram_counts(r.tokens, n) for n in range(1, top + 1)] for r in references]
+    summed = [Counter() for _ in range(SARI_MAX_ORDER)]
+    for counts in per_ref:
+        for total, c in zip(summed, counts):
+            total.update(c)
+    return per_ref, summed
+
+
+def _sari_operation_scores(pred_counts, src_counts, ref_frac, keep_terms, n_addable):
+    """Keep-F1, delete-precision, and add-F1 for one n-gram order; every
+    argument but *pred_counts* comes from the instance's ReferenceCounts."""
     # keep: n-grams present in both source and prediction
     kept = {
         g: min(c, pred_counts[g]) for g, c in src_counts.items() if g in pred_counts
-    }
-    kept_in_src_and_ref = {
-        g: min(c, ref_frac[g]) for g, c in src_counts.items() if g in ref_frac
     }
     keep_p = keep_r = 0.0
     if kept:
         keep_p = sum(min(c, ref_frac.get(g, 0.0)) / c for g, c in kept.items()) / len(
             kept
         )
-    if kept_in_src_and_ref:
+    if keep_terms:
         keep_r = sum(
-            min(kept.get(g, 0.0), ref_frac[g]) / c
-            for g, c in kept_in_src_and_ref.items()
-        ) / len(kept_in_src_and_ref)
+            min(kept.get(g, 0.0), frac) / c for g, frac, c in keep_terms
+        ) / len(keep_terms)
 
     # delete: n-grams of the source absent (or less frequent) in the prediction
     deleted = {
@@ -111,30 +162,25 @@ def _sari_operation_scores(src_counts, pred_counts, ref_counts, n_refs):
         ) / len(deleted)
 
     # add: n-gram types new in the prediction relative to the source
-    added = set(pred_counts) - set(src_counts)
-    addable = set(ref_counts) - set(src_counts)
-    add_good = added & set(ref_counts)
-    add_p = len(add_good) / len(added) if added else 0.0
-    add_r = len(add_good) / len(addable) if addable else 0.0
+    added = [g for g in pred_counts if g not in src_counts]
+    add_good = sum(g in ref_frac for g in added)
+    add_p = add_good / len(added) if added else 0.0
+    add_r = add_good / n_addable if n_addable else 0.0
 
     return _f1(keep_p, keep_r), del_p, _f1(add_p, add_r)
 
 
 def sari_sentence(source, prediction, references):
-    """Sentence-level SARI on the 0-100 scale."""
+    """Sentence-level SARI on the 0-100 scale, against a list of references
+    or their ReferenceCounts."""
     if not references:
         raise NoReferences("SARI needs at least one reference")
-    n_refs = len(references)
+    if not isinstance(references, ReferenceCounts):
+        references = ReferenceCounts(source, references)
     total = 0.0
-    for order in range(1, SARI_MAX_ORDER + 1):
-        src_counts = ngram_counts(source.tokens, order)
+    for order, terms in enumerate(references.sari_terms, 1):
         pred_counts = ngram_counts(prediction.tokens, order)
-        ref_counts = Counter()
-        for ref in references:
-            ref_counts.update(ngram_counts(ref.tokens, order))
-        keep_f, del_p, add_f = _sari_operation_scores(
-            src_counts, pred_counts, ref_counts, n_refs
-        )
+        keep_f, del_p, add_f = _sari_operation_scores(pred_counts, *terms)
         total += (keep_f + del_p + add_f) / 3
     return 100.0 * total / SARI_MAX_ORDER
 
@@ -160,7 +206,8 @@ def bleu_corpus(predictions, reference_lists, max_order=4):
 
     Multi-reference clipped n-gram precision, geometric mean over orders
     1..max_order, brevity penalty from the closest reference length
-    (ties resolved toward the shorter reference), no smoothing.
+    (ties resolved toward the shorter reference), no smoothing. Each entry of
+    *reference_lists* is a list of Sentences or their ReferenceCounts.
     """
     if len(predictions) != len(reference_lists):
         raise LengthMismatch(
@@ -175,25 +222,22 @@ def bleu_corpus(predictions, reference_lists, max_order=4):
     totals = [0] * max_order
     pred_len = 0
     ref_len = 0
-    for pred, refs in zip(predictions, reference_lists):
-        if not refs:
+    for pred, table in zip(predictions, reference_lists):
+        if not table:
             raise NoReferences("BLEU needs at least one reference per sentence")
+        if not isinstance(table, ReferenceCounts):
+            table = ReferenceCounts(None, table, max_order)
         pred_len += len(pred.tokens)
-        ref_len += min(
-            (len(r.tokens) for r in refs),
-            key=lambda rl: (abs(rl - len(pred.tokens)), rl),
-        )
+        ref_len += min(table.lengths, key=lambda rl: (abs(rl - len(pred.tokens)), rl))
         for order in range(1, max_order + 1):
             pred_counts = ngram_counts(pred.tokens, order)
             if not pred_counts:
                 continue
-            max_ref = Counter()
-            for ref in refs:
-                for g, c in ngram_counts(ref.tokens, order).items():
-                    if c > max_ref[g]:
-                        max_ref[g] = c
+            # no stored maximum: 1 with a reference fraction (orders 1..4), else 0
+            clip = table.clip[order - 1]
+            present = table.frac[order - 1] if order <= SARI_MAX_ORDER else ()
             matches[order - 1] += sum(
-                min(c, max_ref[g]) for g, c in pred_counts.items()
+                min(c, clip.get(g, g in present)) for g, c in pred_counts.items()
             )
             totals[order - 1] += sum(pred_counts.values())
 

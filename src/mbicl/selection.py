@@ -21,7 +21,9 @@ from .errors import (
     SariNeedsMultipleReferences,
     UsageError,
 )
-from .metrics import Metric, bertscore_precision, compression_ratio, sari_sentence
+from .metrics import (
+    Metric, ReferenceCounts, bertscore_precision, compression_ratio, sari_sentence
+)
 
 log = logging.getLogger(__name__)
 
@@ -93,8 +95,9 @@ def score_pairs(corpus, metric, embedding_backend=None):
             if inst.n_references < 2:
                 skipped += 1
                 continue
-            rest = inst.references[:j] + inst.references[j + 1 :]
-            score = sari_sentence(inst.source, ref, rest)
+            if j == 0:
+                rest = ReferenceCounts.leave_one_out(inst.source, inst.references)
+            score = sari_sentence(inst.source, ref, rest[j])
         else:  # Metric.BERTPREC
             cand = emb.embed_tokens(ref, embedding_backend)
             reference = emb.embed_tokens(inst.source, embedding_backend)

@@ -3,10 +3,19 @@
 Deliberately written as direct transcriptions of the published counting
 rules, with integer counts scaled by the number of references, so they
 share no structure with the library's fractional-count implementation.
+The naive kernels at the end are the exception: they keep the library's
+per-call counting as the reference for exact-equality tests.
 """
 
 import math
 from collections import Counter
+
+from mbicl.errors import (
+    EmptyCorpus,
+    LengthMismatch,
+    NoReferences,
+    UsageError,
+)
 
 
 def ngrams(tokens, n):
@@ -122,3 +131,139 @@ def max_cosine_mean_oracle(candidate_rows, reference_rows):
                 best = dot
         best_sum += best
     return best_sum / len(candidate_rows)
+
+
+# -- naive library kernels ----------------------------------------------
+# The library's sentence SARI and corpus BLEU as they were before reference
+# counts were tabled once per instance: every call re-counts every
+# reference. The table path must equal these exactly, not approximately.
+
+SARI_MAX_ORDER = 4
+
+
+def ngram_counts(tokens, order):
+    return Counter(
+        tuple(tokens[i : i + order]) for i in range(len(tokens) - order + 1)
+    )
+
+
+def _f1(p, r):
+    return 2 * p * r / (p + r) if p + r > 0 else 0.0
+
+
+def _naive_sari_operation_scores(src_counts, pred_counts, ref_counts, n_refs):
+    """Keep-F1, delete-precision, and add-F1 for one n-gram order.
+
+    ref_counts holds summed counts over all references; they enter the
+    arithmetic divided by n_refs.
+    """
+    ref_frac = {g: c / n_refs for g, c in ref_counts.items()}
+
+    # keep: n-grams present in both source and prediction
+    kept = {
+        g: min(c, pred_counts[g]) for g, c in src_counts.items() if g in pred_counts
+    }
+    kept_in_src_and_ref = {
+        g: min(c, ref_frac[g]) for g, c in src_counts.items() if g in ref_frac
+    }
+    keep_p = keep_r = 0.0
+    if kept:
+        keep_p = sum(min(c, ref_frac.get(g, 0.0)) / c for g, c in kept.items()) / len(
+            kept
+        )
+    if kept_in_src_and_ref:
+        keep_r = sum(
+            min(kept.get(g, 0.0), ref_frac[g]) / c
+            for g, c in kept_in_src_and_ref.items()
+        ) / len(kept_in_src_and_ref)
+
+    # delete: n-grams of the source absent (or less frequent) in the prediction
+    deleted = {
+        g: c - pred_counts.get(g, 0)
+        for g, c in src_counts.items()
+        if c > pred_counts.get(g, 0)
+    }
+    del_p = 0.0
+    if deleted:
+        del_p = sum(
+            max(0.0, c - ref_frac.get(g, 0.0)) / c for g, c in deleted.items()
+        ) / len(deleted)
+
+    # add: n-gram types new in the prediction relative to the source
+    added = set(pred_counts) - set(src_counts)
+    addable = set(ref_counts) - set(src_counts)
+    add_good = added & set(ref_counts)
+    add_p = len(add_good) / len(added) if added else 0.0
+    add_r = len(add_good) / len(addable) if addable else 0.0
+
+    return _f1(keep_p, keep_r), del_p, _f1(add_p, add_r)
+
+
+def naive_sari_sentence(source, prediction, references):
+    """Sentence-level SARI on the 0-100 scale."""
+    if not references:
+        raise NoReferences("SARI needs at least one reference")
+    n_refs = len(references)
+    total = 0.0
+    for order in range(1, SARI_MAX_ORDER + 1):
+        src_counts = ngram_counts(source.tokens, order)
+        pred_counts = ngram_counts(prediction.tokens, order)
+        ref_counts = Counter()
+        for ref in references:
+            ref_counts.update(ngram_counts(ref.tokens, order))
+        keep_f, del_p, add_f = _naive_sari_operation_scores(
+            src_counts, pred_counts, ref_counts, n_refs
+        )
+        total += (keep_f + del_p + add_f) / 3
+    return 100.0 * total / SARI_MAX_ORDER
+
+
+def naive_bleu_corpus(predictions, reference_lists, max_order=4):
+    """Corpus BLEU on the 0-100 scale.
+
+    Multi-reference clipped n-gram precision, geometric mean over orders
+    1..max_order, brevity penalty from the closest reference length
+    (ties resolved toward the shorter reference), no smoothing.
+    """
+    if len(predictions) != len(reference_lists):
+        raise LengthMismatch(
+            f"{len(predictions)} predictions, {len(reference_lists)} reference lists"
+        )
+    if not predictions:
+        raise EmptyCorpus("cannot score an empty corpus")
+    if max_order < 1:
+        raise UsageError("BLEU order must be >= 1")
+
+    matches = [0] * max_order
+    totals = [0] * max_order
+    pred_len = 0
+    ref_len = 0
+    for pred, refs in zip(predictions, reference_lists):
+        if not refs:
+            raise NoReferences("BLEU needs at least one reference per sentence")
+        pred_len += len(pred.tokens)
+        ref_len += min(
+            (len(r.tokens) for r in refs),
+            key=lambda rl: (abs(rl - len(pred.tokens)), rl),
+        )
+        for order in range(1, max_order + 1):
+            pred_counts = ngram_counts(pred.tokens, order)
+            if not pred_counts:
+                continue
+            max_ref = Counter()
+            for ref in refs:
+                for g, c in ngram_counts(ref.tokens, order).items():
+                    if c > max_ref[g]:
+                        max_ref[g] = c
+            matches[order - 1] += sum(
+                min(c, max_ref[g]) for g, c in pred_counts.items()
+            )
+            totals[order - 1] += sum(pred_counts.values())
+
+    if any(t == 0 or m == 0 for m, t in zip(matches, totals)):
+        return 0.0
+    log_precision = math.fsum(
+        math.log(m / t) for m, t in zip(matches, totals)
+    ) / max_order
+    brevity = 1.0 if pred_len >= ref_len else math.exp(1 - ref_len / pred_len)
+    return 100.0 * brevity * math.exp(log_precision)

@@ -424,6 +424,12 @@ BAD_ARGUMENTS = {
     "run random ordering without --seed": (
         "needs --seed", (*_RUN, "--k", "1", "--ordering", "random")
     ),
+    "grid --k-list 1,x": (
+        "not a list of integers: '1,x'", (*_GRID[:-1], "1,x")
+    ),
+    "grid --method random --seed a": (
+        "not a list of integers: 'a'", (*_GRID, "--method", "random", "--seed", "a")
+    ),
 }
 
 

@@ -9,6 +9,7 @@ from mbicl import (
     evaluate,
     run_experiment,
 )
+from mbicl import evaluation, metrics
 from mbicl.embeddings import HashBackend
 from mbicl.errors import LengthMismatch
 from mbicl.evaluation import format_grid_table, write_grid_csv, write_report
@@ -52,6 +53,36 @@ def test_evaluate_reference_predictions_bleu_100(echo_corpus):
 def test_evaluate_length_mismatch(echo_corpus):
     with pytest.raises(LengthMismatch):
         evaluate(echo_corpus, [sent("short list.")])
+
+
+def test_grid_builds_each_test_table_once(toy_corpus, echo_corpus, monkeypatch):
+    built = []
+    real_init = metrics.ReferenceCounts.__init__
+
+    def count_init(self, source, references, max_order=4):
+        built.append(source)
+        real_init(self, source, references, max_order)
+
+    evaluated = []
+    real_evaluate = evaluation.evaluate
+
+    def record_evaluate(*args, **kwargs):
+        evaluated.append((args, kwargs))
+        return real_evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(metrics.ReferenceCounts, "__init__", count_init)
+    monkeypatch.setattr(evaluation, "evaluate", record_evaluate)
+    config = config_for(
+        toy_corpus, echo_corpus, echo_client(), k_values=(1, 2, 4),
+        orderings=("high-to-low", "low-to-high", "random"), seeds=(0,), bleu_order=6,
+    )
+    reports, failures = run_experiment(config)
+    monkeypatch.undo()
+    assert not failures and len(reports) == 9
+    assert built == [inst.source for inst in echo_corpus]
+    for report, (args, kwargs) in zip(reports, evaluated, strict=True):
+        assert kwargs.pop("tables") is not None
+        assert evaluate(*args, **kwargs).to_json() == report.to_json()
 
 
 def test_echo_run_matches_pins(toy_corpus, echo_corpus, tmp_path):

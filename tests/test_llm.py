@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import CountingBackend, sent
+from conftest import CountingBackend, make_corpus, sent
 import mbicl
 from mbicl import (
     CompletionClient,
@@ -17,7 +17,7 @@ from mbicl import (
     ResponseCache,
     build_prompt,
 )
-from mbicl.errors import AuthError, BackendUnavailable, RateLimited
+from mbicl.errors import AuthError, BackendUnavailable, DataError, RateLimited
 from mbicl.llm import (
     HttpBackend,
     MockEchoBackend,
@@ -63,6 +63,22 @@ def test_mock_first_reference(toy_corpus):
         prompt_for(toy_corpus.instances[0].source.raw), PARAMS
     )
     assert record.completion_text == toy_corpus.instances[0].references[0].raw
+
+
+def test_mock_first_reference_rejects_a_source_with_two_first_references():
+    same = make_corpus([
+        ("0", "Same source.", ["A.", "C."]),
+        ("1", "Same source.", ["A.", "D."]),
+    ])
+    assert MockFirstReferenceBackend.for_corpus(same).reference_lookup == {
+        "Same source.": "A."
+    }
+    clash = make_corpus([
+        ("0", "Same source.", ["A."]),
+        ("1", "Same source.", ["B."]),
+    ])
+    with pytest.raises(DataError, match="instance 1 repeats a source"):
+        MockFirstReferenceBackend.for_corpus(clash)
 
 
 def test_cache_hit_skips_backend(tmp_path):

@@ -1,17 +1,22 @@
+import json
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import sent
+from conftest import FIXTURES, sent
 from mbicl import (
+    Sentence,
     bertscore_precision,
     bleu_corpus,
     compression_ratio,
+    load_jsonl,
     sari_corpus,
     sari_sentence,
+    score_pairs,
 )
 from mbicl.errors import (
     DimensionMismatch,
@@ -21,7 +26,9 @@ from mbicl.errors import (
     LengthMismatch,
     NoReferences,
 )
-from oracles import bleu_oracle, sari_oracle
+from mbicl.corpus import read_lines
+from mbicl.metrics import ReferenceCounts, ngram_counts
+from oracles import bleu_oracle, naive_bleu_corpus, naive_sari_sentence, sari_oracle
 
 ROOT2 = math.sqrt(2) / 2
 
@@ -264,3 +271,90 @@ def test_bleu_range_property(rows):
     refs = [[sent(r) for r in rl] for _, rl in rows]
     score = bleu_corpus(preds, refs)
     assert 0.0 <= score <= 100.0
+
+
+# -- reference tables ----------------------------------------------------
+
+def _generated_corpus(seed, n=30):
+    """Instances over a small vocabulary, so references repeat n-grams (BLEU
+    clip maxima above 1), with predictions that mix source, reference and
+    foreign words (n-grams absent from both source and references)."""
+    rng = random.Random(seed)
+    vocab = [f"w{i}" for i in range(16)]
+
+    def words(pool, lo, hi):
+        return " ".join(rng.choice(pool) for _ in range(rng.randint(lo, hi)))
+
+    rows, predictions = [], []
+    for i in range(n):
+        source = words(vocab, 4, 30)
+        refs = [words(source.split() + ["g"], 1, 24) for _ in range(rng.randint(2, 10))]
+        rows.append({"id": str(i), "source": source, "references": refs})
+        predictions.append(sent(words(source.split() + ["x", "y", "g"], 1, 24)))
+    return "\n".join(json.dumps(r) for r in rows) + "\n", predictions
+
+
+def _exactness_corpora(tmp_path):
+    pin = load_jsonl(FIXTURES / "pin_corpus.jsonl")
+    pin_predictions = [
+        Sentence.from_raw(line) for line in read_lines(FIXTURES / "pin_predictions.txt")
+    ]
+    yield pin, pin_predictions
+    text, predictions = _generated_corpus(seed=0)
+    path = tmp_path / "generated.jsonl"
+    path.write_text(text)
+    yield load_jsonl(path), predictions
+
+
+def test_reference_tables_equal_the_naive_path_exactly(tmp_path):
+    saw_clip_above_one = saw_foreign_ngram = False
+    for corpus, generated in _exactness_corpora(tmp_path):
+        naive_loo = [
+            naive_sari_sentence(
+                inst.source, ref, inst.references[:j] + inst.references[j + 1 :]
+            )
+            for inst in corpus
+            for j, ref in enumerate(inst.references)
+        ]
+        assert [p.score for p in score_pairs(corpus, "sari")] == naive_loo
+
+        prediction_sets = [
+            generated,
+            [inst.source for inst in corpus],
+            [inst.references[-1] for inst in corpus],
+            [sent(inst.source.raw + " zzz qqq") for inst in corpus],
+        ]
+        for predictions in prediction_sets:
+            for inst, pred in zip(corpus, predictions):
+                expected = naive_sari_sentence(inst.source, pred, inst.references)
+                table = ReferenceCounts(inst.source, inst.references)
+                assert sari_sentence(inst.source, pred, table) == expected
+                assert sari_sentence(inst.source, pred, inst.references) == expected
+                saw_foreign_ngram |= any(
+                    g not in table.frac[0] and g not in table.sari_terms[0][0]
+                    for g in ngram_counts(pred.tokens, 1)
+                )
+        refs = [inst.references for inst in corpus]
+        for order in range(1, 7):
+            tables = [
+                ReferenceCounts(inst.source, inst.references, order) for inst in corpus
+            ]
+            saw_clip_above_one |= any(t.clip[0] for t in tables)
+            for predictions in prediction_sets:
+                for inst, pred, table in zip(corpus, predictions, tables):
+                    expected = naive_bleu_corpus([pred], [inst.references], order)
+                    assert bleu_corpus([pred], [table], order) == expected
+                expected = naive_bleu_corpus(predictions, refs, order)
+                assert bleu_corpus(predictions, tables, order) == expected
+                assert bleu_corpus(predictions, refs, order) == expected
+    assert saw_clip_above_one and saw_foreign_ngram
+
+
+def test_leave_one_out_tables_hold_the_other_references():
+    inst_refs = [sent("a b a"), sent("a c"), sent("b b")]
+    tables = ReferenceCounts.leave_one_out(sent("a b c"), inst_refs)
+    assert [len(t) for t in tables] == [2, 2, 2]
+    # "c" occurs only in reference 1, so holding it out drops the n-gram
+    assert ("c",) not in tables[1].frac[0]
+    assert tables[0].frac[0] == {("a",): 0.5, ("c",): 0.5, ("b",): 1.0}
+
