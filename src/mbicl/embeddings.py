@@ -14,7 +14,6 @@ import hashlib
 import threading
 
 import numpy as np
-import requests
 
 from .corpus import read_jsonl
 from .errors import (
@@ -24,8 +23,10 @@ from .errors import (
     TokenNotFound,
     UsageError,
 )
+from .llm import post_json
 
 DEFAULT_DIM = 32
+TIMEOUT_S = 30
 
 
 def _normalize_rows(matrix):
@@ -101,9 +102,8 @@ class HttpBackend:
     access.
     """
 
-    def __init__(self, base_url, timeout=30):
+    def __init__(self, base_url):
         self.base_url = base_url.rstrip("/")
-        self.timeout = timeout
         self._cache = {}
         self._lock = threading.Lock()
 
@@ -112,15 +112,10 @@ class HttpBackend:
         with self._lock:
             if key in self._cache:
                 return self._cache[key]
+        reply = post_json(f"{self.base_url}/embed", {"tokens": list(tokens)}, TIMEOUT_S)
         try:
-            resp = requests.post(
-                f"{self.base_url}/embed",
-                json={"tokens": list(tokens)},
-                timeout=self.timeout,
-            )
-            resp.raise_for_status()
-            vectors = resp.json()["vectors"]
-        except (requests.RequestException, KeyError, ValueError) as exc:
+            vectors = reply["vectors"]
+        except (KeyError, TypeError) as exc:
             raise BackendUnavailable(f"embedding server: {exc}") from exc
         matrix = _normalize_rows(vectors)
         with self._lock:

@@ -32,6 +32,8 @@ from .prompting import COMPLEX_MARKER, SIMPLE_MARKER
 
 API_KEY_ENV = "MBICL_API_KEY"
 BASE_URL_ENV = "MBICL_BASE_URL"
+TIMEOUT_S = 120
+_sleep = time.sleep  # post_json's backoff; a test replaces this, not time.sleep
 
 
 @dataclass(frozen=True)
@@ -142,18 +144,45 @@ class MockFirstReferenceBackend:
         return cls(lookup)
 
 
+def post_json(url, body, timeout, headers=None):
+    """POST *body* as JSON and return the decoded reply: the one HTTP policy.
+
+    Connection errors, timeouts, 429 and 5xx get 3 attempts, sleeping 1 s then
+    2 s. 401/403 is an AuthError, an exhausted 429 RateLimited, and any other
+    failure, a non-JSON body included, BackendUnavailable.
+    """
+    for attempt in range(3):
+        if attempt:
+            _sleep(delay)
+        delay = 2**attempt
+        try:
+            resp = requests.post(url, json=body, headers=headers, timeout=timeout)
+        except requests.RequestException as exc:
+            error = BackendUnavailable(str(exc))
+            continue
+        status = resp.status_code
+        if status < 400:
+            try:
+                return resp.json()
+            except ValueError as exc:
+                raise BackendUnavailable(f"malformed response: {exc}") from exc
+        detail = f"HTTP {status}: {resp.text[:200]}"
+        if status != 429 and status < 500:
+            raise (AuthError if status in (401, 403) else BackendUnavailable)(detail)
+        error = (RateLimited if status == 429 else BackendUnavailable)(detail)
+    raise error
+
+
 class HttpBackend:
-    """OpenAI-compatible client.
+    """OpenAI-compatible client over post_json.
 
     Chat completions by default; ``legacy_completions=True`` switches to the
-    plain completions endpoint. Retries timeouts, 429s, and 5xx responses
-    with exponential backoff (3 attempts, starting at 1 s).
+    plain completions endpoint.
     """
 
     name = "http"
 
-    def __init__(self, base_url=None, api_key=None, legacy_completions=False,
-                 max_attempts=3, backoff=1.0, timeout=120):
+    def __init__(self, base_url=None, api_key=None, legacy_completions=False):
         self.base_url = (base_url or os.environ.get(BASE_URL_ENV, "")).rstrip("/")
         self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
         if not self.base_url:
@@ -161,12 +190,8 @@ class HttpBackend:
         if not self.api_key:
             raise AuthError(f"no API key configured ({API_KEY_ENV})")
         self.legacy_completions = legacy_completions
-        self.max_attempts = max_attempts
-        self.backoff = backoff
-        self.timeout = timeout
 
-    def _request(self, prompt_text, params):
-        headers = {"Authorization": f"Bearer {self.api_key}"}
+    def generate(self, prompt_text, params):
         body = {
             "model": params.model_id,
             "temperature": params.temperature,
@@ -181,34 +206,14 @@ class HttpBackend:
         else:
             url = f"{self.base_url}/v1/chat/completions"
             body["messages"] = [{"role": "user", "content": prompt_text}]
-        return requests.post(url, json=body, headers=headers, timeout=self.timeout)
-
-    def generate(self, prompt_text, params):
-        last_error = None
-        for attempt in range(self.max_attempts):
-            if attempt:
-                time.sleep(self.backoff * 2 ** (attempt - 1))
-            try:
-                resp = self._request(prompt_text, params)
-            except requests.RequestException as exc:
-                last_error = BackendUnavailable(str(exc))
-                continue
-            if resp.status_code in (401, 403):
-                raise AuthError(f"HTTP {resp.status_code}: {resp.text[:200]}")
-            if resp.status_code == 429:
-                last_error = RateLimited(resp.text[:200])
-                continue
-            if resp.status_code >= 500:
-                last_error = BackendUnavailable(f"HTTP {resp.status_code}")
-                continue
-            try:
-                payload = resp.json()
-                if self.legacy_completions:
-                    return payload["choices"][0]["text"]
-                return payload["choices"][0]["message"]["content"]
-            except (ValueError, KeyError, IndexError) as exc:
-                raise BackendUnavailable(f"malformed response: {exc}") from exc
-        raise last_error
+        auth = {"Authorization": f"Bearer {self.api_key}"}
+        payload = post_json(url, body, TIMEOUT_S, auth)
+        try:
+            if self.legacy_completions:
+                return payload["choices"][0]["text"]
+            return payload["choices"][0]["message"]["content"]
+        except (KeyError, IndexError, TypeError) as exc:
+            raise BackendUnavailable(f"malformed response: {exc}") from exc
 
 
 class ResponseCache:

@@ -1,10 +1,12 @@
 import json
 import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+import requests
 
-from mbicl import Corpus, InstanceGroup, Sentence
+from mbicl import Corpus, InstanceGroup, Sentence, llm
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -27,6 +29,47 @@ class CountingBackend:
         with self._lock:
             self.calls += 1
         return self.inner.generate(prompt_text, params)
+
+
+@pytest.fixture(autouse=True)
+def http_sleeps(monkeypatch):
+    """The backoff sleeps of ``llm.post_json``, recorded instead of slept.
+
+    Only the helper's sleep is replaced, so test servers' threads still sleep.
+    """
+    sleeps = []
+    monkeypatch.setattr(llm, "_sleep", sleeps.append)
+    return sleeps
+
+
+def http_reply(status=200, body=None, headers=None):
+    """A ``requests.Response``: *body* is sent as JSON, or as-is when bytes."""
+    resp = requests.Response()
+    resp.status_code = status
+    resp._content = body if isinstance(body, bytes) else json.dumps(body).encode()
+    resp.headers.update(headers or {})
+    return resp
+
+
+@pytest.fixture
+def fake_post(monkeypatch):
+    """``requests.post`` replaced by a script, with no server.
+
+    Each call is recorded in ``calls`` as (url, json, headers, timeout) and
+    takes the next item of ``script``: a Response to return, or an exception
+    class to raise.
+    """
+    fake = SimpleNamespace(script=[], calls=[])
+
+    def post(url, json=None, headers=None, timeout=None):
+        fake.calls.append((url, json, headers, timeout))
+        item = fake.script.pop(0)
+        if isinstance(item, type):
+            raise item(f"injected {item.__name__}")
+        return item
+
+    monkeypatch.setattr(requests, "post", post)
+    return fake
 
 
 def make_instance(id, source, references):

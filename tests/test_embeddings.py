@@ -164,7 +164,7 @@ def test_http_backend(embed_server):
 
 
 def test_http_backend_unavailable():
-    backend = HttpBackend("http://127.0.0.1:1", timeout=0.2)
+    backend = HttpBackend("http://127.0.0.1:1")
     with pytest.raises(BackendUnavailable):
         embed_tokens(sent("cat"), backend)
 

@@ -7,9 +7,11 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
 import pytest
+import requests
 
-from conftest import CountingBackend, make_corpus, sent
+from conftest import CountingBackend, http_reply, make_corpus, sent
 import mbicl
+from mbicl import embeddings
 from mbicl import (
     CompletionClient,
     GenerationParams,
@@ -289,7 +291,6 @@ def chat_server():
 
 
 def http_backend(url, **kwargs):
-    kwargs.setdefault("backoff", 0.01)
     return HttpBackend(base_url=url, api_key="k", **kwargs)
 
 
@@ -336,7 +337,7 @@ def test_http_rate_limit_surfaces(chat_server):
 
 
 def test_http_unreachable():
-    backend = http_backend("http://127.0.0.1:1", timeout=0.2)
+    backend = http_backend("http://127.0.0.1:1")
     with pytest.raises(BackendUnavailable):
         backend.generate("x", PARAMS)
 
@@ -348,3 +349,50 @@ def test_http_missing_credentials(monkeypatch):
         HttpBackend()
     with pytest.raises(AuthError):
         HttpBackend(base_url="http://x")
+
+
+# -- one HTTP policy, by fault injection -----------------------------------
+
+# one 200 body that both backends accept
+OK_REPLY = {"choices": [{"message": {"content": "ok"}}], "vectors": [[3.0, 4.0]]}
+
+# name: (script, expected exception or None, requests made, sleeps taken)
+FAULT_SCRIPTS = {
+    "401": ([http_reply(401)], AuthError, 1, []),
+    "403": ([http_reply(403)], AuthError, 1, []),
+    "429x3": ([http_reply(429)] * 3, RateLimited, 3, [1, 2]),
+    "500-503-200": (
+        [http_reply(500), http_reply(503), http_reply(200, OK_REPLY)], None, 3, [1, 2]
+    ),
+    "timeout": ([requests.Timeout] * 3, BackendUnavailable, 3, [1, 2]),
+    "refused": ([requests.ConnectionError] * 3, BackendUnavailable, 3, [1, 2]),
+    "404": ([http_reply(404)], BackendUnavailable, 1, []),
+    "non-json-200": ([http_reply(200, b"<html>")], BackendUnavailable, 1, []),
+}
+
+# name: (call, URL posted to, timeout passed, result of the 200 reply)
+HTTP_CLIENTS = {
+    "completions": (
+        lambda: HttpBackend(base_url="http://h", api_key="k").generate("x", PARAMS),
+        "http://h/v1/chat/completions", 120, "ok",
+    ),
+    "embeddings": (
+        lambda: embeddings.HttpBackend("http://h").embed_tokens(("cat",)).tolist(),
+        "http://h/embed", 30, [[0.6, 0.8]],
+    ),
+}
+
+
+@pytest.mark.parametrize("client", HTTP_CLIENTS)
+@pytest.mark.parametrize("fault", FAULT_SCRIPTS)
+def test_http_fault_policy_is_shared(fault, client, fake_post, http_sleeps):
+    script, expected, n_requests, sleeps = FAULT_SCRIPTS[fault]
+    call, url, timeout, result = HTTP_CLIENTS[client]
+    fake_post.script.extend(script)
+    if expected is None:
+        assert call() == result
+    else:
+        with pytest.raises(expected):
+            call()
+    assert [(u, t) for u, _, _, t in fake_post.calls] == [(url, timeout)] * n_requests
+    assert http_sleeps == sleeps
