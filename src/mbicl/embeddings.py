@@ -26,7 +26,7 @@ from .errors import (
 from .llm import post_json
 
 DEFAULT_DIM = 32
-TIMEOUT_S = 30
+TIMEOUT_S = 30  # seconds per embedding request
 
 
 def _normalize_rows(matrix):
@@ -67,11 +67,13 @@ class HashBackend:
         return _normalize_rows([self._token_vector(t) for t in tokens])
 
 
+def _is_vector(value):
+    return isinstance(value, list) and all(isinstance(v, (int, float)) for v in value)
+
+
 def _token_vector_from_json(obj):
     token, vector = obj["token"], obj["vector"]
-    if not isinstance(token, str) or not isinstance(vector, list) or not all(
-        isinstance(v, (int, float)) for v in vector
-    ):
+    if not isinstance(token, str) or not _is_vector(vector):
         raise TypeError('expected {"token": <string>, "vector": [<numbers>]}')
     return token, vector
 
@@ -113,10 +115,10 @@ class HttpBackend:
             if key in self._cache:
                 return self._cache[key]
         reply = post_json(f"{self.base_url}/embed", {"tokens": list(tokens)}, TIMEOUT_S)
-        try:
-            vectors = reply["vectors"]
-        except (KeyError, TypeError) as exc:
-            raise BackendUnavailable(f"embedding server: {exc}") from exc
+        vectors = reply.get("vectors") if isinstance(reply, dict) else None
+        if not (isinstance(vectors, list) and all(map(_is_vector, vectors))
+                and len({len(v) for v in vectors}) == 1):
+            raise BackendUnavailable("embedding server: malformed vectors")
         matrix = _normalize_rows(vectors)
         with self._lock:
             self._cache[key] = matrix

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import selection as sel
-from .errors import LengthMismatch, MbiclError, UsageError
+from .errors import EmptyCompletion, EmptyCorpus, LengthMismatch, MbiclError, UsageError
 from .llm import CompletionClient, GenerationParams
 from .metrics import ReferenceCounts, bleu_corpus, sari_sentence
 from .prompting import PromptTemplate, build_prompt, parse_completion
@@ -53,6 +53,8 @@ def evaluate(
         raise LengthMismatch(
             f"{len(predictions)} predictions for {len(test_corpus)} instances"
         )
+    if not predictions:
+        raise EmptyCorpus(f"test corpus {test_corpus.name!r} has no instances")
     tables = tables or reference_tables(test_corpus, bleu_order)
     per_sentence = []
     for inst, pred, table in zip(test_corpus, predictions, tables, strict=True):
@@ -162,7 +164,8 @@ def run_cell(config, example_sets, selected_pairs, k, ordering, seed, tables=Non
     """Prompt each test instance with its ExampleSet, complete, parse, score.
 
     *example_sets* holds one ExampleSet per test instance, in corpus order;
-    *tables* go to evaluate. The first failed completion is raised.
+    *tables* go to evaluate. A failed or unparsable completion fails the cell,
+    with the count of failures and the first failing instance in the message.
     """
     prompts = [
         build_prompt(config.template, examples, inst.source)
@@ -171,10 +174,20 @@ def run_cell(config, example_sets, selected_pairs, k, ordering, seed, tables=Non
     results = config.client.batch_complete(
         prompts, config.params, max_in_flight=config.max_in_flight
     )
-    failures = [r for r in results if isinstance(r, Exception)]
-    if failures:
-        raise failures[0]
-    predictions = [parse_completion(r.completion_text) for r in results]
+    predictions, failed = [], []
+    for inst, result in zip(config.test_corpus, results, strict=True):
+        try:
+            if isinstance(result, Exception):
+                raise result
+            predictions.append(parse_completion(result.completion_text))
+        except MbiclError as exc:
+            failed.append((inst.id, exc))
+    if failed:
+        # a backend failure outranks a parse failure, so the exit code is kept
+        instance_id, exc = min(failed, key=lambda f: isinstance(f[1], EmptyCompletion))
+        exc.args = (f"{len(failed)} of {len(results)} completions failed; "
+                    f"first, instance {instance_id}: {exc}",)
+        raise exc
 
     manifest = config.base_manifest()
     manifest.update(

@@ -32,7 +32,7 @@ from .prompting import COMPLEX_MARKER, SIMPLE_MARKER
 
 API_KEY_ENV = "MBICL_API_KEY"
 BASE_URL_ENV = "MBICL_BASE_URL"
-TIMEOUT_S = 120
+TIMEOUT_S = 120  # seconds per completion request
 _sleep = time.sleep  # post_json's backoff; a test replaces this, not time.sleep
 
 
@@ -89,6 +89,8 @@ def _record_from_json(obj):
         backend=obj["backend"],
         timestamp=obj.get("timestamp", 0.0),
     )
+    if not isinstance(record.completion_text, str):
+        raise TypeError("completion_text must be a string")
     if record.digest != request_digest(record.prompt_text, record.params):
         raise ValueError("digest mismatch")
     return record
@@ -148,8 +150,8 @@ def post_json(url, body, timeout, headers=None):
     """POST *body* as JSON and return the decoded reply: the one HTTP policy.
 
     Connection errors, timeouts, 429 and 5xx get 3 attempts, sleeping 1 s then
-    2 s. 401/403 is an AuthError, an exhausted 429 RateLimited, and any other
-    failure, a non-JSON body included, BackendUnavailable.
+    2 s or a retried reply's whole-second Retry-After. 401/403 is AuthError, an
+    exhausted 429 RateLimited, and any other failure BackendUnavailable.
     """
     for attempt in range(3):
         if attempt:
@@ -170,6 +172,8 @@ def post_json(url, body, timeout, headers=None):
         if status != 429 and status < 500:
             raise (AuthError if status in (401, 403) else BackendUnavailable)(detail)
         error = (RateLimited if status == 429 else BackendUnavailable)(detail)
+        if resp.headers.get("Retry-After", "").isdecimal():
+            delay = int(resp.headers["Retry-After"])
     raise error
 
 
@@ -210,10 +214,14 @@ class HttpBackend:
         payload = post_json(url, body, TIMEOUT_S, auth)
         try:
             if self.legacy_completions:
-                return payload["choices"][0]["text"]
-            return payload["choices"][0]["message"]["content"]
+                text = payload["choices"][0]["text"]
+            else:
+                text = payload["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
             raise BackendUnavailable(f"malformed response: {exc}") from exc
+        if not isinstance(text, str):
+            raise BackendUnavailable(f"malformed response: completion {text!r}")
+        return text
 
 
 class ResponseCache:

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURES
+from conftest import FIXTURES, http_reply
 from mbicl.cli import main
 from mbicl.corpus import save_jsonl
 from mbicl.selection import load_example_set
@@ -44,6 +44,18 @@ def test_score_bertprec_without_backend_is_usage_error(corpus_file, tmp_path, ca
         "-o", tmp_path / "s.jsonl",
     )
     assert code == 1
+
+
+def test_score_bertprec_malformed_embedding_reply_is_backend_error(
+    corpus_file, tmp_path, capsys, fake_post
+):
+    fake_post.script.append(http_reply(200, {"vectors": [["x", 1.0], [1.0, 2.0]]}))
+    code, _, err = run_cli(
+        capsys, "score", corpus_file, "--metric", "bertprec",
+        "--embeddings", "http://h", "-o", tmp_path / "s.jsonl",
+    )
+    assert code == 3
+    assert "backend error: embedding server: malformed vectors" in err
 
 
 def test_unknown_flag_is_usage_error(capsys):
@@ -359,6 +371,28 @@ def test_evaluate_command(tmp_path, capsys):
     pins = json.loads((FIXTURES / "metric_pins.json").read_text())
     assert report["sari"] == pytest.approx(pins["corpus_sari"], abs=1e-4)
     assert report["bleu"] == pytest.approx(pins["corpus_bleu_order4"], abs=1e-4)
+
+
+def test_empty_test_corpus_is_data_error(corpus_file, tmp_path, capsys):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    preds = tmp_path / "empty.txt"
+    preds.write_text("")
+    code, _, err = run_cli(
+        capsys, "evaluate", "--test", empty, "--predictions", preds,
+        "-o", tmp_path / "report.json",
+    )
+    assert code == 2
+    assert "data error: test corpus 'empty' has no instances" in err
+
+    code, _, err = run_cli(
+        capsys, "grid", "--tune", corpus_file, "--test", empty, "--method", "cr",
+        "--k-list", "1,2", "--out-dir", tmp_path / "g",
+    )
+    assert code == 2
+    for cell in ("cr-k1-high-to-low", "cr-k2-high-to-low"):
+        assert f"cell {cell} failed: test corpus 'empty' has no instances" in err
+    assert "Traceback" not in err
 
 
 def test_evaluate_rejects_a_blank_prediction_line(tmp_path, capsys):

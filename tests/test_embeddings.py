@@ -5,7 +5,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import numpy as np
 import pytest
 
-from conftest import sent
+from conftest import http_reply, sent
 from mbicl.embeddings import (
     FileBackend,
     HashBackend,
@@ -167,6 +167,24 @@ def test_http_backend_unavailable():
     backend = HttpBackend("http://127.0.0.1:1")
     with pytest.raises(BackendUnavailable):
         embed_tokens(sent("cat"), backend)
+
+
+@pytest.mark.parametrize("reply", [
+    {"vectors": [["x", 1.0], [1.0, 2.0]]},
+    {"vectors": [[1.0, 2.0], [1.0]]},
+    {"vectors": [[None, 1.0], [1.0, 2.0]]},
+    {"vectors": [1.0, 2.0]},
+    {"vectors": []},
+    {"vectors": "ab"},
+    {"vectors": 5},
+    {"vector": [[1.0, 2.0], [1.0, 2.0]]},
+    [[1.0, 2.0], [1.0, 2.0]],
+], ids=["string", "ragged", "null", "flat", "empty", "text", "number", "no-vectors",
+        "bare-list"])
+def test_http_backend_malformed_reply_is_unavailable(reply, fake_post):
+    fake_post.script.append(http_reply(200, reply))
+    with pytest.raises(BackendUnavailable, match="malformed vectors"):
+        embed_tokens(sent("cat bird"), HttpBackend("http://h"))
 
 
 def test_make_backend_dispatch(tmp_path):

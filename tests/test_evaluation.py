@@ -11,7 +11,7 @@ from mbicl import (
 )
 from mbicl import evaluation, metrics
 from mbicl.embeddings import HashBackend
-from mbicl.errors import LengthMismatch
+from mbicl.errors import BackendUnavailable, EmptyCompletion, LengthMismatch
 from mbicl.evaluation import format_grid_table, write_grid_csv, write_report
 from mbicl.llm import MockEchoBackend, MockFirstReferenceBackend
 from mbicl.metrics import bleu_corpus, sari_corpus
@@ -167,6 +167,32 @@ def test_cell_failure_is_isolated(toy_corpus, echo_corpus):
     reports, failures = run_experiment(config)
     assert reports == []
     assert len(failures) == 2
+
+
+@pytest.mark.parametrize("missing, blank, expected, count, first", [
+    ((3, 7), (), BackendUnavailable, 2, "3: no reference for query"),
+    ((7,), (1,), BackendUnavailable, 2, "7: no reference for query"),
+    ((), (1, 4), EmptyCompletion, 2, "1: model returned no usable text"),
+], ids=["two-missing", "missing-outranks-blank", "two-blank"])
+def test_failed_cell_names_count_and_first_instance(
+    toy_corpus, echo_corpus, missing, blank, expected, count, first
+):
+    lookup = MockFirstReferenceBackend.for_corpus(echo_corpus).reference_lookup
+    for i in missing:
+        del lookup[echo_corpus.instances[i].source.raw]
+    for i in blank:
+        lookup[echo_corpus.instances[i].source.raw] = "\n\n"
+    client = CompletionClient(MockFirstReferenceBackend(lookup))
+    config = config_for(
+        toy_corpus, echo_corpus, client, selection_method="cr", k_values=(1,)
+    )
+    reports, failures = run_experiment(config)
+    assert reports == []
+    [exc] = failures.values()
+    assert type(exc) is expected
+    assert str(exc).startswith(
+        f"{count} of 10 completions failed; first, instance {first}"
+    )
 
 
 def test_random_selection_cells_per_seed(toy_corpus, echo_corpus):

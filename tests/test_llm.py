@@ -368,6 +368,16 @@ FAULT_SCRIPTS = {
     "refused": ([requests.ConnectionError] * 3, BackendUnavailable, 3, [1, 2]),
     "404": ([http_reply(404)], BackendUnavailable, 1, []),
     "non-json-200": ([http_reply(200, b"<html>")], BackendUnavailable, 1, []),
+    "retry-after-7": (
+        [http_reply(429, headers={"Retry-After": "7"}), http_reply(503),
+         http_reply(200, OK_REPLY)],
+        None, 3, [7, 2],
+    ),
+    "retry-after-date": (
+        [http_reply(503, headers={"Retry-After": "Fri, 31 Dec 1999 23:59:59 GMT"}),
+         http_reply(200, OK_REPLY)],
+        None, 2, [1],
+    ),
 }
 
 # name: (call, URL posted to, timeout passed, result of the 200 reply)
@@ -396,3 +406,34 @@ def test_http_fault_policy_is_shared(fault, client, fake_post, http_sleeps):
             call()
     assert [(u, t) for u, _, _, t in fake_post.calls] == [(url, timeout)] * n_requests
     assert http_sleeps == sleeps
+
+
+@pytest.mark.parametrize("legacy, reply", [
+    (False, {"choices": [{"message": {"content": None}}]}),
+    (True, {"choices": [{"text": None}]}),
+])
+def test_http_null_completion_is_not_cached(legacy, reply, fake_post, tmp_path):
+    fake_post.script.append(http_reply(200, reply))
+    backend = HttpBackend(base_url="http://h", api_key="k", legacy_completions=legacy)
+    client = CompletionClient(backend, ResponseCache(tmp_path / "cache.jsonl"))
+    [result] = client.batch_complete([prompt_for("A cat.")], PARAMS)
+    assert isinstance(result, BackendUnavailable)
+    assert len(client.cache) == 0
+    assert not (tmp_path / "cache.jsonl").exists()
+
+
+def test_cache_quarantines_a_non_string_completion(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    client = CompletionClient(MockEchoBackend(), ResponseCache(path))
+    client.complete(prompt_for("A cat."), PARAMS)
+    poisoned = client.complete(prompt_for("A dog."), PARAMS)
+    lines = path.read_text().splitlines(keepends=True)
+    lines[1] = lines[1].replace('"completion_text": "A dog."', '"completion_text": null')
+    path.write_text("".join(lines))
+
+    backend = CountingBackend(MockEchoBackend())
+    reopened = CompletionClient(backend, ResponseCache(path))
+    assert len(reopened.cache) == 1
+    assert (tmp_path / "cache.jsonl.quarantine").read_text() == lines[1]
+    assert reopened.complete(prompt_for("A dog."), PARAMS) == poisoned
+    assert backend.calls == 1
