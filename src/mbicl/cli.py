@@ -92,7 +92,6 @@ _run_options = [
     click.option("--test", "test_path", required=True, type=click.Path(exists=True)),
     click.option("--backend", "backend_name", default="mock-echo",
                  type=click.Choice(["http", "mock-echo", "mock-first-reference"])),
-    click.option("--embeddings", "embeddings_spec", default=None),
     click.option("--cache", "cache_path", type=click.Path(), default=None),
     click.option("--template", "template_path", type=click.Path(exists=True),
                  default=None),
@@ -114,10 +113,10 @@ def _with_run_options(fn):
     return fn
 
 
-def _experiment_config(tune_path, test_path, backend_name, embeddings_spec,
-                       cache_path, template_path, model, temperature, max_tokens,
-                       top_p, bleu_order, base_url, api_key, legacy_completions,
-                       max_in_flight, method, k_values, orderings, seeds):
+def _experiment_config(tune_path, test_path, backend_name, cache_path, template_path,
+                       model, temperature, max_tokens, top_p, bleu_order, base_url,
+                       api_key, legacy_completions, max_in_flight, method, k_values,
+                       orderings, seeds, embeddings_spec=None):
     tune = _load_corpus(tune_path, split="validation")
     test = _load_corpus(test_path, split="test")
     backend = llm.make_backend(
@@ -157,41 +156,32 @@ def _emit(reports, failures, out_dir):
 
 @cli.command()
 @_with_run_options
-@click.option("--method", default="sari", type=click.Choice(evaluation.METHODS))
-@click.option("--k", type=int, default=None, help="ignored with --example-set")
-@click.option("--example-set", "example_set_path", type=click.Path(exists=True),
-              default=None, help="pre-selected examples; skips selection flags")
-@click.option("--ordering", default="high-to-low", type=click.Choice(ORDERING_CHOICES))
-@click.option("--seed", type=int, default=None)
+@click.option("--example-set", "example_set_path", required=True,
+              type=click.Path(exists=True), help="an example set written by select")
 @click.option("--report", "out_dir", required=True, type=click.Path())
-def run(method, k, example_set_path, ordering, seed, out_dir, **run_kwargs):
-    """One experiment cell: select, prompt, complete, evaluate."""
-    if example_set_path:
-        example_set = selection.load_example_set(example_set_path)
-        method = example_set.selection_method
-        k = example_set.k
-        ordering = example_set.ordering
-        seed = example_set.seed
-    elif k is None:
-        raise UsageError("either --k or --example-set is required")
-    [seed] = evaluation.cell_seeds(method, ordering, [seed])
+def run(example_set_path, out_dir, **run_kwargs):
+    """Replay one example set: prompt, complete, evaluate.
 
+    Method, k, ordering and seed come from the example set. A selecting run
+    of one cell is `grid` with one k value and one ordering.
+    """
+    example_set = selection.load_example_set(example_set_path)
+    method, k, ordering = (
+        example_set.selection_method, example_set.k, example_set.ordering
+    )
+    [seed] = evaluation.cell_seeds(method, ordering, [example_set.seed])
     config = _experiment_config(
         method=method, k_values=[k], orderings=[ordering], seeds=[seed], **run_kwargs
     )
-    if example_set_path:
-        # honor the pre-selected pairs instead of re-running selection
-        example_sets = [example_set] * len(config.test_corpus)
-        selected_pairs = [selection.pair_ref(p) for p in example_set.pairs]
-        reports, failures = [], {}
-        try:
-            reports.append(evaluation.run_cell(
-                config, example_sets, selected_pairs, k, ordering, seed
-            ))
-        except MbiclError as exc:
-            failures[evaluation.cell_id(method, k, ordering, seed)] = exc
-    else:
-        reports, failures = evaluation.run_experiment(config)
+    selected_pairs = [selection.pair_ref(p) for p in example_set.pairs]
+    reports, failures = [], {}
+    try:
+        reports.append(evaluation.run_cell(
+            config, [example_set] * len(config.test_corpus), selected_pairs,
+            k, ordering, seed,
+        ))
+    except MbiclError as exc:
+        failures[evaluation.cell_id(method, k, ordering, seed)] = exc
     _emit(reports, failures, out_dir)
 
 
@@ -219,6 +209,8 @@ def evaluate_cmd(test_path, predictions_path, bleu_order, output):
               help="comma-separated ordering strategies")
 @click.option("--seed", "seeds", default=None, callback=_int_list,
               help="comma-separated seeds; required for random selection or ordering")
+@click.option("--embeddings", "embeddings_spec", default=None,
+              help="test, file:<path>, or http:<url>; for bertprec and kate")
 @click.option("--out-dir", required=True, type=click.Path())
 def grid(method, k_values, orderings_csv, seeds, out_dir, **run_kwargs):
     """Run a full (k x ordering[ x seed]) experiment grid."""

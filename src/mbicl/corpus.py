@@ -99,15 +99,21 @@ def load_parallel(dir_path, name=None, split="validation"):
     complex_path = dir_path / "complex.txt"
     if not complex_path.is_file():
         raise MissingFile(f"{complex_path} not found")
-    ref_paths = sorted(
-        dir_path.glob("ref.*.txt"), key=lambda p: int(p.name.split(".")[1])
-    )
+    ref_paths = {}
+    for path in dir_path.glob("ref.*.txt"):
+        index = re.fullmatch(r"ref\.(0|[1-9][0-9]*)\.txt", path.name)
+        if not index:
+            raise DataError(f"{path}: reference files are named ref.<i>.txt")
+        ref_paths[int(index[1])] = path
     if not ref_paths:
         raise MissingFile(f"no ref.<i>.txt files in {dir_path}")
+    for i in range(len(ref_paths)):
+        if i not in ref_paths:
+            raise MissingFile(f"{dir_path / f'ref.{i}.txt'} not found")
 
     sources = read_lines(complex_path)
     ref_columns = []
-    for ref_path in ref_paths:
+    for _, ref_path in sorted(ref_paths.items()):
         lines = read_lines(ref_path)
         if len(lines) != len(sources):
             raise LineCountMismatch(str(ref_path), len(sources), len(lines))

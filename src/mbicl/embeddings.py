@@ -11,6 +11,7 @@ unit vector (``embed_sentence``).
 """
 
 import hashlib
+import sys
 import threading
 
 import numpy as np
@@ -68,13 +69,16 @@ class HashBackend:
 
 
 def _is_vector(value):
-    return isinstance(value, list) and all(isinstance(v, (int, float)) for v in value)
+    """A list of finite numbers: no booleans, NaN, Infinity or float overflow."""
+    return isinstance(value, list) and all(
+        type(v) in (int, float) and abs(v) <= sys.float_info.max for v in value
+    )
 
 
 def _token_vector_from_json(obj):
     token, vector = obj["token"], obj["vector"]
     if not isinstance(token, str) or not _is_vector(vector):
-        raise TypeError('expected {"token": <string>, "vector": [<numbers>]}')
+        raise TypeError('expected {"token": <string>, "vector": [<finite numbers>]}')
     return token, vector
 
 

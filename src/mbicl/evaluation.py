@@ -89,6 +89,14 @@ class ExperimentConfig:
     max_in_flight: int = 4
 
     def __post_init__(self):
+        """Reject a grid that would run no cell or the same cell twice."""
+        if not self.k_values or not self.orderings:
+            raise UsageError("a grid needs at least one k value and one ordering")
+        listed = (self.k_values, self.orderings, self.seeds)
+        if any(len(set(values)) < len(values) for values in listed):
+            raise UsageError("a k value, ordering or seed is listed twice")
+        if self.selection_method == "zero-shot" and set(self.k_values) != {0}:
+            raise UsageError("zero-shot runs only at k 0 (--k-list 0)")
         for ordering in self.orderings:
             cell_seeds(self.selection_method, ordering, self.seeds)
 
@@ -142,7 +150,7 @@ def _example_sets(config, scored_cache, k, ordering, seed):
         ]
         tune_ids = {p.instance_id for s in example_sets for p in s.pairs}
         return example_sets, sorted(tune_ids)
-    if k == 0 or method == "zero-shot":
+    if k == 0:
         chosen = sel.ExampleSet(
             pairs=(), k=0, ordering=ordering, selection_method="zero-shot", seed=seed
         )

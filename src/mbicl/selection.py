@@ -70,6 +70,11 @@ def _candidate_pairs(corpus):
             yield inst, j, ref
 
 
+def _pair(inst, j, metric, score):
+    """The pair of *inst*'s complex sentence and its reference *j*."""
+    return ScoredPair(inst.id, j, inst.source, inst.references[j], metric, score)
+
+
 def score_pairs(corpus, metric, embedding_backend=None):
     """Score every (complex, reference) pair of *corpus* with *metric*.
 
@@ -104,16 +109,7 @@ def score_pairs(corpus, metric, embedding_backend=None):
             score = bertscore_precision(cand, reference)
             if score >= DUPLICATE_SCORE:
                 continue
-        pairs.append(
-            ScoredPair(
-                instance_id=inst.id,
-                reference_index=j,
-                source=inst.source,
-                simple=ref,
-                metric=metric.value,
-                score=score,
-            )
-        )
+        pairs.append(_pair(inst, j, metric.value, score))
     if skipped:
         log.warning(
             "skipped %d single-reference instance(s) for SARI scoring", skipped
@@ -170,16 +166,10 @@ def random_select(corpus, k, seed):
     replacement from the whole candidate population."""
     if k < 1:
         raise UsageError("k must be >= 1")
+    if seed is None:
+        raise UsageError("random selection needs a seed")
     population = [
-        ScoredPair(
-            instance_id=inst.id,
-            reference_index=j,
-            source=inst.source,
-            simple=ref,
-            metric="random",
-            score=None,
-        )
-        for inst, j, ref in _candidate_pairs(corpus)
+        _pair(inst, j, "random", None) for inst, j, _ in _candidate_pairs(corpus)
     ]
     if k > len(population):
         log.warning("k=%d exceeds population of %d; taking all", k, len(population))
@@ -204,29 +194,13 @@ def kate_select(dev, query, k, embedding_backend):
     """
     if embedding_backend is None:
         raise EmbeddingBackendMissing("similarity retrieval needs --embeddings")
-    if k < 1:
-        raise UsageError("k must be >= 1")
     query_vec = emb.embed_sentence(query, embedding_backend)
-    scored = []
-    for inst in dev:
-        sim = emb.cosine(emb.embed_sentence(inst.source, embedding_backend), query_vec)
-        scored.append(
-            ScoredPair(
-                instance_id=inst.id,
-                reference_index=0,
-                source=inst.source,
-                simple=inst.references[0],
-                metric="kate",
-                score=sim,
-            )
-        )
-    scored.sort(key=_rank_key)
-    return ExampleSet(
-        pairs=tuple(reversed(scored[:k])),
-        k=k,
-        ordering=Ordering.LOW_TO_HIGH.value,
-        selection_method="kate",
-    )
+    scored = [
+        _pair(inst, 0, "kate",
+              emb.cosine(emb.embed_sentence(inst.source, embedding_backend), query_vec))
+        for inst in dev
+    ]
+    return order_examples(select_top_k(scored, k), Ordering.LOW_TO_HIGH)
 
 
 # -- on-disk formats -----------------------------------------------------

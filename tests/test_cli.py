@@ -1,10 +1,11 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from conftest import FIXTURES, http_reply
-from mbicl.cli import main
+from mbicl.cli import cli, main
 from mbicl.corpus import save_jsonl
 from mbicl.selection import load_example_set
 
@@ -131,9 +132,8 @@ def test_build_prompt_with_examples(corpus_file, tmp_path, capsys):
 def test_run_end_to_end_echo(corpus_file, tmp_path, capsys):
     report_dir = tmp_path / "reports"
     code, out, _ = run_cli(
-        capsys, "run", "--tune", corpus_file, "--test", FIXTURES / "echo_corpus.jsonl",
-        "--backend", "mock-echo", "--method", "sari", "--k", "2",
-        "--cache", tmp_path / "cache.jsonl", "--report", report_dir,
+        capsys, *_run_args(corpus_file, tmp_path, "grid"), "--method", "sari",
+        "--k-list", "2", "--out-dir", report_dir,
     )
     assert code == 0
     report_files = list(Path(report_dir).glob("*.json"))
@@ -174,13 +174,11 @@ def test_run_end_to_end_echo(corpus_file, tmp_path, capsys):
 
 def test_run_warm_cache_is_identical(corpus_file, tmp_path, capsys):
     args = (
-        "run", "--tune", corpus_file, "--test", FIXTURES / "echo_corpus.jsonl",
-        "--backend", "mock-echo", "--method", "cr", "--k", "2",
-        "--cache", tmp_path / "cache.jsonl",
+        *_run_args(corpus_file, tmp_path, "grid"), "--method", "cr", "--k-list", "2"
     )
-    run_cli(capsys, *args, "--report", tmp_path / "r1")
+    run_cli(capsys, *args, "--out-dir", tmp_path / "r1")
     cache_after_first = (tmp_path / "cache.jsonl").read_text()
-    run_cli(capsys, *args, "--report", tmp_path / "r2")
+    run_cli(capsys, *args, "--out-dir", tmp_path / "r2")
     assert (tmp_path / "cache.jsonl").read_text() == cache_after_first
     a = next((tmp_path / "r1").glob("*.json")).read_text()
     b = next((tmp_path / "r2").glob("*.json")).read_text()
@@ -196,22 +194,23 @@ def _cr_example_set(capsys, corpus_file, tmp_path, *select_args):
     return set_path
 
 
-def _run_args(corpus_file, tmp_path):
+def _run_args(corpus_file, tmp_path, command="run"):
     return (
-        "run", "--tune", corpus_file, "--test", FIXTURES / "echo_corpus.jsonl",
+        command, "--tune", corpus_file, "--test", FIXTURES / "echo_corpus.jsonl",
         "--backend", "mock-echo", "--cache", tmp_path / "cache.jsonl",
     )
 
 
 def test_run_example_set_matches_selection(corpus_file, tmp_path, capsys):
     set_path = _cr_example_set(capsys, corpus_file, tmp_path)
-    args = _run_args(corpus_file, tmp_path)
     code, _, _ = run_cli(
-        capsys, *args, "--example-set", set_path, "--report", tmp_path / "fixed"
+        capsys, *_run_args(corpus_file, tmp_path), "--example-set", set_path,
+        "--report", tmp_path / "fixed",
     )
     assert code == 0
     code, _, _ = run_cli(
-        capsys, *args, "--method", "cr", "--k", "2", "--report", tmp_path / "selected"
+        capsys, *_run_args(corpus_file, tmp_path, "grid"), "--method", "cr",
+        "--k-list", "2", "--out-dir", tmp_path / "selected",
     )
     assert code == 0
     for name in ("cr-k2-high-to-low.json", "grid.csv"):
@@ -307,6 +306,15 @@ MALFORMED_INPUTS = {
     "embedding-string-vector": (
         "emb.jsonl", GOOD_VECTOR + '{"token": "b", "vector": "01"}\n', 2
     ),
+    "embedding-nan": (
+        "emb.jsonl", GOOD_VECTOR + '{"token": "b", "vector": [NaN, 1]}\n', 2
+    ),
+    "embedding-infinity": (
+        "emb.jsonl", GOOD_VECTOR + '{"token": "b", "vector": [0.0, -Infinity]}\n', 2
+    ),
+    "embedding-bool": (
+        "emb.jsonl", GOOD_VECTOR + '{"token": "b", "vector": [true, 0.0]}\n', 2
+    ),
     "embedding-file-missing": ("emb.jsonl", None, None),
 }
 
@@ -345,8 +353,8 @@ def test_select_rejects_a_non_numeric_score(corpus_file, tmp_path, capsys):
 def test_malformed_cache_line_is_quarantined(corpus_file, tmp_path, capsys):
     cache = tmp_path / "cache.jsonl"
     args = [
-        *_run_args(corpus_file, tmp_path), "--method", "cr", "--k", "1",
-        "--report", tmp_path / "r",
+        *_run_args(corpus_file, tmp_path, "grid"), "--method", "cr", "--k-list", "1",
+        "--out-dir", tmp_path / "r",
     ]
     assert run_cli(capsys, *args)[0] == 0
     good = cache.read_text()
@@ -434,20 +442,20 @@ BAD_ARGUMENTS = {
     "select --k 0": (
         "k must be >= 1", ("select", "{scores}", "--k", "0", "-o", "{out}")
     ),
-    "run --k -1": ("k must be >= 1", (*_RUN, "--method", "cr", "--k", "-1")),
+    "grid --k-list -1": ("k must be >= 1", (*_GRID[:-1], "-1")),
     "grid --max-in-flight 0": (
         "max_in_flight must be >= 1", (*_GRID, "--max-in-flight", "0")
     ),
     "--temperature -1": (
-        "temperature must be >= 0", (*_RUN, "--k", "1", "--temperature", "-1")
+        "temperature must be >= 0", (*_GRID, "--temperature", "-1")
     ),
     "--top-p 0": ("top_p must be in (0, 1]", (*_GRID, "--top-p", "0")),
     "--bleu-order 0": (
-        "BLEU order must be >= 1", (*_RUN, "--k", "1", "--bleu-order", "0")
+        "BLEU order must be >= 1", (*_GRID, "--bleu-order", "0")
     ),
     "--embeddings bogus": (
         "unknown embedding backend 'bogus'",
-        (*_RUN, "--k", "1", "--embeddings", "bogus"),
+        (*_GRID, "--embeddings", "bogus"),
     ),
     "grid --orderings bogus": (
         "unknown ordering 'bogus'", (*_GRID, "--orderings", "bogus")
@@ -455,8 +463,15 @@ BAD_ARGUMENTS = {
     "grid random ordering without --seed": (
         "needs --seed", (*_GRID, "--orderings", "random")
     ),
-    "run random ordering without --seed": (
-        "needs --seed", (*_RUN, "--k", "1", "--ordering", "random")
+    "run without --example-set": ("Missing option '--example-set'", _RUN),
+    "run --method": ("No such option '--method'", (*_RUN, "--method", "cr")),
+    "grid --k-list ''": ("at least one k value", (*_GRID[:-1], "")),
+    "grid --orderings ,": ("at least one k value and one ordering",
+                           (*_GRID, "--orderings", ",")),
+    "grid --k-list 1,1": ("a k value, ordering or seed is listed twice",
+                          (*_GRID[:-1], "1,1")),
+    "grid zero-shot at k 1": (
+        "zero-shot runs only at k 0", (*_GRID, "--method", "zero-shot")
     ),
     "grid --k-list 1,x": (
         "not a list of integers: '1,x'", (*_GRID[:-1], "1,x")
@@ -482,8 +497,8 @@ def test_bad_argument_is_usage_error(case, corpus_file, tmp_path, capsys):
 
 def test_run_whose_every_cell_fails_reports_the_cell(corpus_file, tmp_path, capsys):
     code, _, err = run_cli(
-        capsys, *_run_args(corpus_file, tmp_path), "--method", "bertprec",
-        "--k", "2", "--report", tmp_path / "fresh",
+        capsys, *_run_args(corpus_file, tmp_path, "grid"), "--method", "bertprec",
+        "--k-list", "2", "--out-dir", tmp_path / "fresh",
     )
     assert code == 1
     assert "cell bertprec-k2-high-to-low failed: " in err
@@ -503,13 +518,42 @@ def test_grid_emits_reports_and_csv(corpus_file, tmp_path, capsys):
     assert "SARI" in out
 
 
+def test_zero_shot_grid_writes_one_report(corpus_file, tmp_path, capsys):
+    out_dir = tmp_path / "g"
+    code, _, _ = run_cli(
+        capsys, *_run_args(corpus_file, tmp_path, "grid"), "--method", "zero-shot",
+        "--k-list", "0", "--out-dir", out_dir,
+    )
+    assert code == 0
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "grid.csv", "zero-shot-k0-high-to-low.json"
+    ]
+    report = json.loads((out_dir / "zero-shot-k0-high-to-low.json").read_text())
+    assert report["manifest"]["selected_pairs"] == []
+
+
+def test_readme_commands_use_declared_flags():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## CLI\n\n```sh\n(.*?)```", readme, re.S)[1]
+    commands = [
+        line for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("mbicl ")
+    ]
+    assert len(commands) >= 6
+    for line in commands:
+        command = cli.commands[line.split()[1]]
+        declared = {opt for param in command.params for opt in param.opts}
+        for flag in re.findall(r"(?<!\S)--[\w-]+", line):
+            assert flag in declared, f"mbicl {command.name} has no {flag}: {line}"
+
+
 def test_http_backend_missing_credentials_is_backend_error(
     corpus_file, tmp_path, capsys, monkeypatch
 ):
     monkeypatch.delenv("MBICL_API_KEY", raising=False)
     code, _, _ = run_cli(
-        capsys, "run", "--tune", corpus_file, "--test", corpus_file,
+        capsys, "grid", "--tune", corpus_file, "--test", corpus_file,
         "--backend", "http", "--base-url", "http://127.0.0.1:1",
-        "--method", "cr", "--k", "1", "--report", tmp_path / "r",
+        "--method", "cr", "--k-list", "1", "--out-dir", tmp_path / "r",
     )
     assert code == 3

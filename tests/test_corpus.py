@@ -1,8 +1,11 @@
+import re
+
 import pytest
 
 from mbicl import load_jsonl, load_parallel, tokenize
 from mbicl.corpus import save_jsonl
 from mbicl.errors import (
+    DataError,
     DuplicateId,
     EmptyLine,
     EmptyReferences,
@@ -72,6 +75,19 @@ def test_load_parallel_empty_line(tmp_path):
     write(tmp_path / "ref.0.txt", "A cat.\nB.\nC.\n")
     with pytest.raises(EmptyLine):
         load_parallel(tmp_path)
+
+
+@pytest.mark.parametrize("extra, message", [
+    ("ref.a.txt", "ref.a.txt: reference files are named ref.<i>.txt"),
+    ("ref.01.txt", "ref.01.txt: reference files are named ref.<i>.txt"),
+    ("ref.1.2.txt", "ref.1.2.txt: reference files are named ref.<i>.txt"),
+    ("ref.2.txt", "ref.1.txt not found"),
+], ids=["letter", "leading-zero", "two-dots", "gap"])
+def test_load_parallel_rejects_bad_reference_names(tmp_path, extra, message):
+    d = make_parallel_dir(tmp_path, ["A big cat."], [["A cat."]])
+    write(d / extra, "Big cat.\n")
+    with pytest.raises(DataError, match=re.escape(str(d / message))):
+        load_parallel(d)
 
 
 def test_load_jsonl_single(tmp_path):

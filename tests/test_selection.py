@@ -17,6 +17,7 @@ from mbicl.errors import (
     EmbeddingBackendMissing,
     EmptyCorpus,
     SariNeedsMultipleReferences,
+    UsageError,
 )
 from mbicl.selection import load_example_set, load_scored_pairs, save_example_set, save_scored_pairs
 
@@ -192,6 +193,11 @@ def test_random_select_seeds_differ():
     a = random_select(corpus, 6, seed=17)
     b = random_select(corpus, 6, seed=18)
     assert {p.key for p in a.pairs} != {p.key for p in b.pairs}
+
+
+def test_random_select_needs_a_seed(toy_corpus):
+    with pytest.raises(UsageError, match="random selection needs a seed"):
+        random_select(toy_corpus, 2, None)
 
 
 def test_random_select_whole_population(toy_corpus):
