@@ -9,7 +9,6 @@ from .metrics import (
     bertscore_precision,
     bleu_corpus,
     compression_ratio,
-    sari_corpus,
     sari_sentence,
 )
 from .selection import (
@@ -37,7 +36,6 @@ __all__ = [
     "bertscore_precision",
     "bleu_corpus",
     "compression_ratio",
-    "sari_corpus",
     "sari_sentence",
     "ExampleSet",
     "Ordering",

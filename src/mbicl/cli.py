@@ -99,7 +99,6 @@ _run_options = [
     click.option("--temperature", type=float, default=0.7),
     click.option("--max-tokens", type=int, default=256),
     click.option("--top-p", type=float, default=1.0),
-    click.option("--bleu-order", type=int, default=4),
     click.option("--base-url", default=None),
     click.option("--api-key", default=None),
     click.option("--legacy-completions", is_flag=True, default=False),
@@ -114,9 +113,9 @@ def _with_run_options(fn):
 
 
 def _experiment_config(tune_path, test_path, backend_name, cache_path, template_path,
-                       model, temperature, max_tokens, top_p, bleu_order, base_url,
-                       api_key, legacy_completions, max_in_flight, method, k_values,
-                       orderings, seeds, embeddings_spec=None):
+                       model, temperature, max_tokens, top_p, base_url, api_key,
+                       legacy_completions, max_in_flight, method, k_values, orderings,
+                       seeds, embeddings_spec=None):
     tune = _load_corpus(tune_path, split="validation")
     test = _load_corpus(test_path, split="test")
     backend = llm.make_backend(
@@ -137,7 +136,6 @@ def _experiment_config(tune_path, test_path, backend_name, cache_path, template_
             temperature=temperature, max_tokens=max_tokens, top_p=top_p, model_id=model
         ),
         embedding_backend=embedding_backend,
-        bleu_order=bleu_order,
         max_in_flight=max_in_flight,
     )
 
@@ -166,13 +164,12 @@ def run(example_set_path, out_dir, **run_kwargs):
     of one cell is `grid` with one k value and one ordering.
     """
     example_set = selection.load_example_set(example_set_path)
-    method, k, ordering = (
-        example_set.selection_method, example_set.k, example_set.ordering
-    )
-    [seed] = evaluation.cell_seeds(method, ordering, [example_set.seed])
+    method = example_set.selection_method
     config = _experiment_config(
-        method=method, k_values=[k], orderings=[ordering], seeds=[seed], **run_kwargs
+        method=method, k_values=[example_set.k], orderings=[example_set.ordering],
+        seeds=[example_set.seed], **run_kwargs
     )
+    [(k, ordering, seed)] = config.cells
     selected_pairs = [selection.pair_ref(p) for p in example_set.pairs]
     reports, failures = [], {}
     try:
@@ -189,13 +186,12 @@ def run(example_set_path, out_dir, **run_kwargs):
 @click.option("--test", "test_path", required=True, type=click.Path(exists=True))
 @click.option("--predictions", "predictions_path", required=True,
               type=click.Path(exists=True), help="one prediction per line")
-@click.option("--bleu-order", type=int, default=4)
 @click.option("-o", "--output", required=True, type=click.Path())
-def evaluate_cmd(test_path, predictions_path, bleu_order, output):
+def evaluate_cmd(test_path, predictions_path, output):
     """Score an existing prediction file against a test corpus."""
     test = _load_corpus(test_path, split="test")
     predictions = [Sentence.from_raw(line) for line in read_lines(predictions_path)]
-    report = evaluation.evaluate(test, predictions, bleu_order=bleu_order)
+    report = evaluation.evaluate(test, predictions)
     Path(output).write_text(report.to_json(), encoding="utf-8")
     click.echo(f"SARI {report.sari:.2f}  BLEU {report.bleu:.2f}")
 

@@ -11,6 +11,7 @@ unit vector (``embed_sentence``).
 """
 
 import hashlib
+import math
 import sys
 import threading
 
@@ -69,9 +70,12 @@ class HashBackend:
 
 
 def _is_vector(value):
-    """A list of finite numbers: no booleans, NaN, Infinity or float overflow."""
-    return isinstance(value, list) and all(
-        type(v) in (int, float) and abs(v) <= sys.float_info.max for v in value
+    """A list of finite numbers whose sum of squares is finite too: no
+    booleans, NaN, Infinity, or a value or norm that overflows a float."""
+    return (
+        isinstance(value, list)
+        and all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in value)
+        and math.isfinite(sum(float(v) * float(v) for v in value))
     )
 
 

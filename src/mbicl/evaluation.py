@@ -2,8 +2,10 @@
 
 A grid cell is one (selection method, k, ordering[, seed]) combination:
 select and order examples on the tune corpus, build one prompt per test
-sentence, complete, parse, and score. Each cell yields one EvalReport;
-reports carry the full manifest needed to replay them against the cache.
+sentence, complete, parse, and score. A k 0 (zero-shot) cell has no examples
+to order, so it runs once per grid, with no ordering and no seed. Each cell
+yields one EvalReport; reports carry the full manifest needed to replay them
+against the cache.
 """
 
 import csv
@@ -15,7 +17,7 @@ from pathlib import Path
 from . import selection as sel
 from .errors import EmptyCompletion, EmptyCorpus, LengthMismatch, MbiclError, UsageError
 from .llm import CompletionClient, GenerationParams
-from .metrics import ReferenceCounts, bleu_corpus, sari_sentence
+from .metrics import MAX_ORDER, ReferenceCounts, bleu_corpus, sari_sentence
 from .prompting import PromptTemplate, build_prompt, parse_completion
 
 log = logging.getLogger(__name__)
@@ -39,35 +41,34 @@ class EvalReport:
         return text + "\n"
 
 
-def reference_tables(test_corpus, bleu_order):
+def reference_tables(test_corpus):
     """One ReferenceCounts per test instance, shared by SARI and BLEU."""
-    return [ReferenceCounts(i.source, i.references, bleu_order) for i in test_corpus]
+    return [ReferenceCounts(i.source, i.references) for i in test_corpus]
 
 
-def evaluate(
-    test_corpus, predictions, bleu_order=4, run_id="adhoc", manifest=None, tables=None
-):
-    """Score *predictions* against *test_corpus* with corpus SARI and BLEU,
-    reading the corpus's reference_tables (built when *tables* is None)."""
+def evaluate(test_corpus, predictions, run_id="adhoc", manifest=None, tables=None):
+    """Score *predictions* against *test_corpus* with corpus SARI (the mean
+    of sentence SARI) and BLEU-4, reading the corpus's reference_tables
+    (built when *tables* is None)."""
     if len(predictions) != len(test_corpus):
         raise LengthMismatch(
             f"{len(predictions)} predictions for {len(test_corpus)} instances"
         )
     if not predictions:
         raise EmptyCorpus(f"test corpus {test_corpus.name!r} has no instances")
-    tables = tables or reference_tables(test_corpus, bleu_order)
+    tables = tables or reference_tables(test_corpus)
     per_sentence = []
     for inst, pred, table in zip(test_corpus, predictions, tables, strict=True):
         score = sari_sentence(inst.source, pred, table)
         per_sentence.append({"id": inst.id, "sari": score})
     sari = sum(row["sari"] for row in per_sentence) / len(per_sentence)
-    bleu = bleu_corpus(predictions, tables, max_order=bleu_order)
+    bleu = bleu_corpus(predictions, tables)
     return EvalReport(
         run_id=run_id,
         corpus_name=test_corpus.name,
         sari=sari,
         bleu=bleu,
-        bleu_order=bleu_order,
+        bleu_order=MAX_ORDER,
         per_sentence=tuple(per_sentence),
         manifest=manifest or {},
     )
@@ -85,11 +86,12 @@ class ExperimentConfig:
     template: PromptTemplate = field(default_factory=PromptTemplate)
     params: GenerationParams = field(default_factory=GenerationParams)
     embedding_backend: object = None
-    bleu_order: int = 4
     max_in_flight: int = 4
+    cells: tuple = field(init=False)  # (k, ordering, seed) of every cell
 
     def __post_init__(self):
-        """Reject a grid that would run no cell or the same cell twice."""
+        """List the cells; reject a grid that would run no cell or the same
+        cell twice."""
         if not self.k_values or not self.orderings:
             raise UsageError("a grid needs at least one k value and one ordering")
         listed = (self.k_values, self.orderings, self.seeds)
@@ -98,7 +100,16 @@ class ExperimentConfig:
         if self.selection_method == "zero-shot" and set(self.k_values) != {0}:
             raise UsageError("zero-shot runs only at k 0 (--k-list 0)")
         for ordering in self.orderings:
-            cell_seeds(self.selection_method, ordering, self.seeds)
+            _ordering(ordering)
+        cells = []
+        for k in self.k_values:
+            if k == 0:
+                cells.append((0, None, None))
+                continue
+            for ordering in self.orderings:
+                seeds = cell_seeds(self.selection_method, ordering, self.seeds)
+                cells += [(k, ordering, seed) for seed in seeds]
+        self.cells = tuple(cells)
 
     def base_manifest(self):
         return {
@@ -108,15 +119,24 @@ class ExperimentConfig:
             "template": asdict(self.template),
             "params": asdict(self.params),
             "backend": self.client.backend.name,
-            "bleu_order": self.bleu_order,
+            "bleu_order": MAX_ORDER,
         }
 
 
 def cell_id(method, k, ordering, seed):
-    cell = f"{method}-k{k}-{ordering}"
+    cell = f"{method}-k{k}"
+    if ordering is not None:
+        cell += f"-{ordering}"
     if seed is not None:
         cell += f"-seed{seed}"
     return cell
+
+
+def _ordering(value):
+    try:
+        return sel.Ordering(value)
+    except ValueError:
+        raise UsageError(f"unknown ordering {value!r}") from None
 
 
 def cell_seeds(method, ordering, seeds):
@@ -125,11 +145,7 @@ def cell_seeds(method, ordering, seeds):
     A cell that draws no random numbers runs once, with seed None; a random
     selection or ordering runs once per seed and needs at least one.
     """
-    try:
-        ordering = sel.Ordering(ordering)
-    except ValueError:
-        raise UsageError(f"unknown ordering {ordering!r}") from None
-    if method != "random" and ordering is not sel.Ordering.RANDOM:
+    if method != "random" and _ordering(ordering) is not sel.Ordering.RANDOM:
         return (None,)
     if not seeds or None in seeds:
         raise UsageError("random selection or ordering needs --seed")
@@ -141,29 +157,27 @@ def _example_sets(config, scored_cache, k, ordering, seed):
 
     KATE retrieves its own examples for each query; every other method
     selects one set on the tune corpus and shares it across the test corpus.
+    A k 0 cell prompts with no examples.
     """
     method = config.selection_method
-    if method == "kate" and k > 0:
+    if k == 0:
+        return [None] * len(config.test_corpus), []
+    if method == "kate":
         example_sets = [
             sel.kate_select(config.tune_corpus, inst.source, k, config.embedding_backend)
             for inst in config.test_corpus
         ]
         tune_ids = {p.instance_id for s in example_sets for p in s.pairs}
         return example_sets, sorted(tune_ids)
-    if k == 0:
-        chosen = sel.ExampleSet(
-            pairs=(), k=0, ordering=ordering, selection_method="zero-shot", seed=seed
-        )
+    if method == "random":
+        chosen = sel.random_select(config.tune_corpus, k, seed)
     else:
-        if method == "random":
-            chosen = sel.random_select(config.tune_corpus, k, seed)
-        else:
-            if method not in scored_cache:
-                scored_cache[method] = sel.score_pairs(
-                    config.tune_corpus, method, config.embedding_backend
-                )
-            chosen = sel.select_top_k(scored_cache[method], k)
-        chosen = sel.order_examples(chosen, ordering, seed)
+        if method not in scored_cache:
+            scored_cache[method] = sel.score_pairs(
+                config.tune_corpus, method, config.embedding_backend
+            )
+        chosen = sel.select_top_k(scored_cache[method], k)
+    chosen = sel.order_examples(chosen, ordering, seed)
     selected_pairs = [sel.pair_ref(p) for p in chosen.pairs]
     return [chosen] * len(config.test_corpus), selected_pairs
 
@@ -171,9 +185,10 @@ def _example_sets(config, scored_cache, k, ordering, seed):
 def run_cell(config, example_sets, selected_pairs, k, ordering, seed, tables=None):
     """Prompt each test instance with its ExampleSet, complete, parse, score.
 
-    *example_sets* holds one ExampleSet per test instance, in corpus order;
-    *tables* go to evaluate. A failed or unparsable completion fails the cell,
-    with the count of failures and the first failing instance in the message.
+    *example_sets* holds one ExampleSet (None at k 0) per test instance, in
+    corpus order; *tables* go to evaluate. A failed or unparsable completion
+    fails the cell, with the count of failures and the first failing instance
+    in the message.
     """
     prompts = [
         build_prompt(config.template, examples, inst.source)
@@ -204,7 +219,6 @@ def run_cell(config, example_sets, selected_pairs, k, ordering, seed, tables=Non
     return evaluate(
         config.test_corpus,
         predictions,
-        bleu_order=config.bleu_order,
         run_id=cell_id(config.selection_method, k, ordering, seed),
         manifest=manifest,
         tables=tables,
@@ -217,19 +231,17 @@ def run_experiment(config):
     Returns (reports, failures) where failures maps cell id to the error.
     """
     scored_cache = {}
-    tables = reference_tables(config.test_corpus, config.bleu_order)
+    tables = reference_tables(config.test_corpus)
     reports = []
     failures = {}
-    for k in config.k_values:
-        for ordering in config.orderings:
-            for seed in cell_seeds(config.selection_method, ordering, config.seeds):
-                try:
-                    chosen = _example_sets(config, scored_cache, k, ordering, seed)
-                    reports.append(run_cell(config, *chosen, k, ordering, seed, tables))
-                except MbiclError as exc:
-                    cell = cell_id(config.selection_method, k, ordering, seed)
-                    log.error("cell %s failed: %s", cell, exc)
-                    failures[cell] = exc
+    for k, ordering, seed in config.cells:
+        try:
+            chosen = _example_sets(config, scored_cache, k, ordering, seed)
+            reports.append(run_cell(config, *chosen, k, ordering, seed, tables))
+        except MbiclError as exc:
+            cell = cell_id(config.selection_method, k, ordering, seed)
+            log.error("cell %s failed: %s", cell, exc)
+            failures[cell] = exc
     return reports, failures
 
 

@@ -22,10 +22,9 @@ from .errors import (
     EmptySentence,
     LengthMismatch,
     NoReferences,
-    UsageError,
 )
 
-SARI_MAX_ORDER = 4
+MAX_ORDER = 4  # SARI and BLEU both score n-gram orders 1..4
 
 
 class Metric(str, Enum):
@@ -75,26 +74,27 @@ class ReferenceCounts:
 
     Orders 1..4 hold SARI's terms: source counts, reference fractions (one
     float object per distinct count), keep-recall terms in source-count order
-    and the number of addable n-grams. Orders 1..max_order hold BLEU's clip
-    maxima, up to order 4 only those above 1. A *source* of None skips SARI.
+    and the number of addable n-grams. BLEU's clip maxima (an n-gram's
+    largest count in one reference) are stored only where above 1. A *source*
+    of None skips SARI.
     """
 
-    def __init__(self, source, references, max_order=SARI_MAX_ORDER):
-        per_ref, summed = _reference_ngrams(references, max(SARI_MAX_ORDER, max_order))
+    def __init__(self, source, references):
+        per_ref, summed = _reference_ngrams(references)
         self._tabulate(source, summed, len(references))
         self.lengths = tuple(len(r.tokens) for r in references)
-        self.clip = [{} for _ in per_ref[0]]
+        self.clip = [{} for _ in summed]
         for counts in per_ref:
-            for n, (clip, order_counts) in enumerate(zip(self.clip, counts)):
+            for clip, order_counts in zip(self.clip, counts):
                 for g, c in order_counts.items():
-                    if c > clip.get(g, n < SARI_MAX_ORDER):
+                    if c > clip.get(g, 1):
                         clip[g] = c
 
     @classmethod
     def leave_one_out(cls, source, references):
         """The SARI tables of *references* with each one held out in turn: the
         summed counts minus the held-out reference's, zeros dropped."""
-        per_ref, summed = _reference_ngrams(references, SARI_MAX_ORDER)
+        per_ref, summed = _reference_ngrams(references)
         tables = [cls.__new__(cls) for _ in references]
         for table, counts in zip(tables, per_ref):
             rest = [dict(total) for total in summed]
@@ -121,11 +121,13 @@ class ReferenceCounts:
         return self.n_refs
 
 
-def _reference_ngrams(references, top):
-    """Each reference's n-gram counts for orders 1..top, and their sums over
-    the references for orders 1..4."""
-    per_ref = [[ngram_counts(r.tokens, n) for n in range(1, top + 1)] for r in references]
-    summed = [Counter() for _ in range(SARI_MAX_ORDER)]
+def _reference_ngrams(references):
+    """Each reference's n-gram counts for orders 1..4, and their sums over
+    the references."""
+    per_ref = [
+        [ngram_counts(r.tokens, n) for n in range(1, MAX_ORDER + 1)] for r in references
+    ]
+    summed = [Counter() for _ in range(MAX_ORDER)]
     for counts in per_ref:
         for total, c in zip(summed, counts):
             total.update(c)
@@ -182,30 +184,14 @@ def sari_sentence(source, prediction, references):
         pred_counts = ngram_counts(prediction.tokens, order)
         keep_f, del_p, add_f = _sari_operation_scores(pred_counts, *terms)
         total += (keep_f + del_p + add_f) / 3
-    return 100.0 * total / SARI_MAX_ORDER
+    return 100.0 * total / MAX_ORDER
 
 
-def sari_corpus(sources, predictions, reference_lists):
-    """Corpus SARI: the arithmetic mean of sentence SARI values."""
-    if not (len(sources) == len(predictions) == len(reference_lists)):
-        raise LengthMismatch(
-            f"{len(sources)} sources, {len(predictions)} predictions, "
-            f"{len(reference_lists)} reference lists"
-        )
-    if not sources:
-        raise EmptyCorpus("cannot score an empty corpus")
-    scores = [
-        sari_sentence(s, p, refs)
-        for s, p, refs in zip(sources, predictions, reference_lists)
-    ]
-    return sum(scores) / len(scores)
-
-
-def bleu_corpus(predictions, reference_lists, max_order=4):
-    """Corpus BLEU on the 0-100 scale.
+def bleu_corpus(predictions, reference_lists):
+    """Corpus BLEU-4 on the 0-100 scale.
 
     Multi-reference clipped n-gram precision, geometric mean over orders
-    1..max_order, brevity penalty from the closest reference length
+    1..4, brevity penalty from the closest reference length
     (ties resolved toward the shorter reference), no smoothing. Each entry of
     *reference_lists* is a list of Sentences or their ReferenceCounts.
     """
@@ -215,36 +201,30 @@ def bleu_corpus(predictions, reference_lists, max_order=4):
         )
     if not predictions:
         raise EmptyCorpus("cannot score an empty corpus")
-    if max_order < 1:
-        raise UsageError("BLEU order must be >= 1")
 
-    matches = [0] * max_order
-    totals = [0] * max_order
+    matches = [0] * MAX_ORDER
+    totals = [0] * MAX_ORDER
     pred_len = 0
     ref_len = 0
     for pred, table in zip(predictions, reference_lists):
         if not table:
             raise NoReferences("BLEU needs at least one reference per sentence")
         if not isinstance(table, ReferenceCounts):
-            table = ReferenceCounts(None, table, max_order)
+            table = ReferenceCounts(None, table)
         pred_len += len(pred.tokens)
         ref_len += min(table.lengths, key=lambda rl: (abs(rl - len(pred.tokens)), rl))
-        for order in range(1, max_order + 1):
-            pred_counts = ngram_counts(pred.tokens, order)
-            if not pred_counts:
-                continue
-            # no stored maximum: 1 with a reference fraction (orders 1..4), else 0
-            clip = table.clip[order - 1]
-            present = table.frac[order - 1] if order <= SARI_MAX_ORDER else ()
-            matches[order - 1] += sum(
+        for n, (clip, present) in enumerate(zip(table.clip, table.frac)):
+            pred_counts = ngram_counts(pred.tokens, n + 1)
+            # no stored maximum: 1 with a reference fraction, else 0
+            matches[n] += sum(
                 min(c, clip.get(g, g in present)) for g, c in pred_counts.items()
             )
-            totals[order - 1] += sum(pred_counts.values())
+            totals[n] += sum(pred_counts.values())
 
     if any(t == 0 or m == 0 for m, t in zip(matches, totals)):
         return 0.0
     log_precision = math.fsum(
         math.log(m / t) for m, t in zip(matches, totals)
-    ) / max_order
+    ) / MAX_ORDER
     brevity = 1.0 if pred_len >= ref_len else math.exp(1 - ref_len / pred_len)
     return 100.0 * brevity * math.exp(log_precision)

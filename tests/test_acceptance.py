@@ -21,9 +21,9 @@ from mbicl import (
     bertscore_precision,
     bleu_corpus,
     build_prompt,
+    evaluate,
     order_examples,
     run_experiment,
-    sari_corpus,
     sari_sentence,
     score_pairs,
     select_top_k,
@@ -78,10 +78,9 @@ def test_criterion_2_fixture_pin(pin_corpus):
             .read_text()
             .splitlines()
         ]
-        sources = [inst.source for inst in pin_corpus]
         refs = [inst.references for inst in pin_corpus]
-        sari = sari_corpus(sources, predictions, refs)
-        bleu = bleu_corpus(predictions, refs, max_order=4)
+        sari = evaluate(pin_corpus, predictions).sari
+        bleu = bleu_corpus(predictions, refs)
         assert sari == pytest.approx(pins["corpus_sari"], abs=1e-4)
         assert bleu == pytest.approx(pins["corpus_bleu_order4"], abs=1e-4)
         assert time.perf_counter() - start < 1.0

@@ -315,6 +315,9 @@ MALFORMED_INPUTS = {
     "embedding-bool": (
         "emb.jsonl", GOOD_VECTOR + '{"token": "b", "vector": [true, 0.0]}\n', 2
     ),
+    "embedding-norm-overflow": (
+        "emb.jsonl", GOOD_VECTOR + '{"token": "b", "vector": [1e308, 1e308]}\n', 2
+    ),
     "embedding-file-missing": ("emb.jsonl", None, None),
 }
 
@@ -450,9 +453,6 @@ BAD_ARGUMENTS = {
         "temperature must be >= 0", (*_GRID, "--temperature", "-1")
     ),
     "--top-p 0": ("top_p must be in (0, 1]", (*_GRID, "--top-p", "0")),
-    "--bleu-order 0": (
-        "BLEU order must be >= 1", (*_GRID, "--bleu-order", "0")
-    ),
     "--embeddings bogus": (
         "unknown embedding backend 'bogus'",
         (*_GRID, "--embeddings", "bogus"),
@@ -525,11 +525,19 @@ def test_zero_shot_grid_writes_one_report(corpus_file, tmp_path, capsys):
         "--k-list", "0", "--out-dir", out_dir,
     )
     assert code == 0
-    assert sorted(p.name for p in out_dir.iterdir()) == [
-        "grid.csv", "zero-shot-k0-high-to-low.json"
-    ]
-    report = json.loads((out_dir / "zero-shot-k0-high-to-low.json").read_text())
+    assert sorted(p.name for p in out_dir.iterdir()) == ["grid.csv", "zero-shot-k0.json"]
+    report = json.loads((out_dir / "zero-shot-k0.json").read_text())
     assert report["manifest"]["selected_pairs"] == []
+    assert report["manifest"]["ordering"] is report["manifest"]["seed"] is None
+
+    # k 0 has no examples to order: one cell whatever the orderings, no --seed
+    code, _, _ = run_cli(
+        capsys, *_run_args(corpus_file, tmp_path, "grid"), "--method", "zero-shot",
+        "--k-list", "0", "--orderings", "random,high-to-low", "--out-dir", out_dir,
+    )
+    assert code == 0
+    assert sorted(p.name for p in out_dir.iterdir()) == ["grid.csv", "zero-shot-k0.json"]
+    assert json.loads((out_dir / "zero-shot-k0.json").read_text()) == report
 
 
 def test_readme_commands_use_declared_flags():

@@ -182,8 +182,9 @@ def test_http_backend_unavailable():
     b'{"vectors": [[NaN, 1.0], [1.0, 2.0]]}',
     b'{"vectors": [[1.0, 2.0], [Infinity, 2.0]]}',
     {"vectors": [[True, 1.0], [1.0, 2.0]]},
+    {"vectors": [[1e308, 1e308], [1.0, 0.0]]},
 ], ids=["string", "ragged", "null", "flat", "empty", "text", "number", "no-vectors",
-        "bare-list", "nan", "infinity", "bool"])
+        "bare-list", "nan", "infinity", "bool", "norm-overflow"])
 def test_http_backend_malformed_reply_is_unavailable(reply, fake_post):
     fake_post.script.append(http_reply(200, reply))
     with pytest.raises(BackendUnavailable, match="malformed vectors"):

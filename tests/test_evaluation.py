@@ -14,7 +14,7 @@ from mbicl.embeddings import HashBackend
 from mbicl.errors import BackendUnavailable, EmptyCompletion, LengthMismatch
 from mbicl.evaluation import format_grid_table, write_grid_csv, write_report
 from mbicl.llm import MockEchoBackend, MockFirstReferenceBackend
-from mbicl.metrics import bleu_corpus, sari_corpus
+from mbicl.metrics import bleu_corpus, sari_sentence
 
 
 def echo_client(cache_path=None):
@@ -31,9 +31,12 @@ def config_for(tune, test, client, **kwargs):
 def test_evaluate_matches_metric_kernels(echo_corpus):
     predictions = [inst.source for inst in echo_corpus]
     report = evaluate(echo_corpus, predictions)
-    sources = [inst.source for inst in echo_corpus]
     refs = [inst.references for inst in echo_corpus]
-    assert report.sari == pytest.approx(sari_corpus(sources, predictions, refs))
+    sentence_sari = [
+        sari_sentence(inst.source, pred, inst.references)
+        for inst, pred in zip(echo_corpus, predictions)
+    ]
+    assert report.sari == pytest.approx(sum(sentence_sari) / len(sentence_sari))
     assert report.bleu == pytest.approx(bleu_corpus(predictions, refs))
     assert report.corpus_name == echo_corpus.name
 
@@ -59,9 +62,9 @@ def test_grid_builds_each_test_table_once(toy_corpus, echo_corpus, monkeypatch):
     built = []
     real_init = metrics.ReferenceCounts.__init__
 
-    def count_init(self, source, references, max_order=4):
+    def count_init(self, source, references):
         built.append(source)
-        real_init(self, source, references, max_order)
+        real_init(self, source, references)
 
     evaluated = []
     real_evaluate = evaluation.evaluate
@@ -74,7 +77,7 @@ def test_grid_builds_each_test_table_once(toy_corpus, echo_corpus, monkeypatch):
     monkeypatch.setattr(evaluation, "evaluate", record_evaluate)
     config = config_for(
         toy_corpus, echo_corpus, echo_client(), k_values=(1, 2, 4),
-        orderings=("high-to-low", "low-to-high", "random"), seeds=(0,), bleu_order=6,
+        orderings=("high-to-low", "low-to-high", "random"), seeds=(0,),
     )
     reports, failures = run_experiment(config)
     monkeypatch.undo()
@@ -139,6 +142,24 @@ def test_zero_shot_cell(toy_corpus, echo_corpus):
     config = config_for(toy_corpus, echo_corpus, echo_client(), k_values=(0,))
     reports, _ = run_experiment(config)
     assert reports[0].manifest["selected_pairs"] == []
+
+
+def test_zero_shot_cell_completes_the_test_corpus_once(toy_corpus, echo_corpus):
+    client = echo_client()
+    config = config_for(
+        toy_corpus, echo_corpus, client, selection_method="cr", k_values=(0, 1),
+        orderings=("high-to-low", "low-to-high", "random"), seeds=(0, 1),
+    )
+    reports, failures = run_experiment(config)
+    assert not failures
+    assert [r.run_id for r in reports] == [
+        "cr-k0", "cr-k1-high-to-low", "cr-k1-low-to-high",
+        "cr-k1-random-seed0", "cr-k1-random-seed1",
+    ]
+    zero_shot = reports[0].manifest
+    assert (zero_shot["k"], zero_shot["ordering"], zero_shot["seed"]) == (0, None, None)
+    # one pass over the test corpus for k 0, one per k 1 cell
+    assert client.backend.calls == 5 * len(echo_corpus)
 
 
 def test_out_of_domain_provenance(echo_corpus):

@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURES, sent
+from conftest import FIXTURES, make_corpus, sent
 from mbicl import (
     Sentence,
     bertscore_precision,
     bleu_corpus,
     compression_ratio,
+    evaluate,
     load_jsonl,
-    sari_corpus,
     sari_sentence,
     score_pairs,
 )
@@ -152,27 +152,27 @@ def test_sari_no_references():
         sari_sentence(sent("a"), sent("b"), [])
 
 
+# corpus SARI is evaluate(...).sari, the mean of sentence SARI
+
 def test_sari_corpus_mean():
     s1 = sari_sentence(sent("a b"), sent("a"), [sent("a")])
     s2 = sari_sentence(sent("c d"), sent("c"), [sent("c")])
-    got = sari_corpus(
-        [sent("a b"), sent("c d")], [sent("a"), sent("c")], [[sent("a")], [sent("c")]]
-    )
+    corpus = make_corpus([("0", "a b", ["a"]), ("1", "c d", ["c"])])
+    got = evaluate(corpus, [sent("a"), sent("c")]).sari
     assert got == pytest.approx((s1 + s2) / 2, abs=1e-12)
 
 
 def test_sari_corpus_single_equals_sentence():
     args = (sent("a b c"), sent("a b"), [sent("a b"), sent("a c")])
-    assert sari_corpus([args[0]], [args[1]], [args[2]]) == pytest.approx(
-        sari_sentence(*args)
-    )
+    corpus = make_corpus([("0", "a b c", ["a b", "a c"])])
+    assert evaluate(corpus, [args[1]]).sari == pytest.approx(sari_sentence(*args))
 
 
 def test_sari_corpus_empty():
     with pytest.raises(EmptyCorpus):
-        sari_corpus([], [], [])
+        evaluate(make_corpus([]), [])
     with pytest.raises(LengthMismatch):
-        sari_corpus([sent("a")], [], [])
+        evaluate(make_corpus([("0", "a", ["a"])]), [])
 
 
 token_strategy = st.text(alphabet="abcdefghij", min_size=1, max_size=3)
@@ -235,20 +235,15 @@ def test_bleu_reference_order_invariance():
     assert a == pytest.approx(b, abs=1e-12)
 
 
-def test_bleu_order_five():
-    preds = [sent("a b c d e f g h")]
-    refs = [[sent("a b c d e f g h")]]
-    assert bleu_corpus(preds, refs, max_order=5) == pytest.approx(100.0)
-
-
 def test_bleu_brevity_penalty():
-    # shorter prediction than reference triggers the penalty
-    preds = [sent("the cat sat")]
-    refs = [[sent("the cat sat x")]]
-    expected = bleu_oracle([["the", "cat", "sat"]], [[["the", "cat", "sat", "x"]]],
-                           max_order=2)
-    assert bleu_corpus(preds, refs, max_order=2) == pytest.approx(expected)
-    assert bleu_corpus(preds, refs, max_order=2) < 100.0
+    # shorter prediction than reference triggers the penalty; every n-gram of
+    # the prediction matches, so BLEU-4 is the penalty alone
+    preds = [sent("the cat sat on the mat")]
+    refs = [[sent("the cat sat on the mat today")]]
+    expected = bleu_oracle([list(preds[0].tokens)], [[list(refs[0][0].tokens)]])
+    assert bleu_corpus(preds, refs) == pytest.approx(expected)
+    assert bleu_corpus(preds, refs) == pytest.approx(100 * math.exp(1 - 7 / 6))
+    assert 0.0 < bleu_corpus(preds, refs) < 100.0
 
 
 def test_bleu_errors():
@@ -335,18 +330,15 @@ def test_reference_tables_equal_the_naive_path_exactly(tmp_path):
                     for g in ngram_counts(pred.tokens, 1)
                 )
         refs = [inst.references for inst in corpus]
-        for order in range(1, 7):
-            tables = [
-                ReferenceCounts(inst.source, inst.references, order) for inst in corpus
-            ]
-            saw_clip_above_one |= any(t.clip[0] for t in tables)
-            for predictions in prediction_sets:
-                for inst, pred, table in zip(corpus, predictions, tables):
-                    expected = naive_bleu_corpus([pred], [inst.references], order)
-                    assert bleu_corpus([pred], [table], order) == expected
-                expected = naive_bleu_corpus(predictions, refs, order)
-                assert bleu_corpus(predictions, tables, order) == expected
-                assert bleu_corpus(predictions, refs, order) == expected
+        tables = [ReferenceCounts(inst.source, inst.references) for inst in corpus]
+        saw_clip_above_one |= any(t.clip[0] for t in tables)
+        for predictions in prediction_sets:
+            for inst, pred, table in zip(corpus, predictions, tables):
+                expected = naive_bleu_corpus([pred], [inst.references])
+                assert bleu_corpus([pred], [table]) == expected
+            expected = naive_bleu_corpus(predictions, refs)
+            assert bleu_corpus(predictions, tables) == expected
+            assert bleu_corpus(predictions, refs) == expected
     assert saw_clip_above_one and saw_foreign_ngram
 
 
