@@ -13,7 +13,6 @@ unit vector (``embed_sentence``).
 import hashlib
 import math
 import sys
-import threading
 
 import numpy as np
 
@@ -31,11 +30,18 @@ DEFAULT_DIM = 32
 TIMEOUT_S = 30  # seconds per embedding request
 
 
-def _normalize_rows(matrix):
+def _normalize_rows(matrix, labels, kind="token"):
+    """Rows at unit length; a row of norm 0 is named by its *kind* and label."""
     matrix = np.asarray(matrix, dtype=float)
     norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-    if np.any(norms == 0):
-        raise EmptyEmbedding("zero vector cannot be normalized")
+    zero = np.flatnonzero(norms == 0)
+    if zero.size:
+        row = zero[0]
+        # an embedding server may reply with more rows than tokens
+        name = f"{kind} {labels[row]!r}" if row < len(labels) else f"row {row}"
+        raise EmptyEmbedding(
+            f"the vector of {name} cannot be normalized: its norm is 0 or underflows"
+        )
     return matrix / norms
 
 
@@ -66,7 +72,7 @@ class HashBackend:
         return values[: self.dim]
 
     def embed_tokens(self, tokens):
-        return _normalize_rows([self._token_vector(t) for t in tokens])
+        return _normalize_rows([self._token_vector(t) for t in tokens], tokens)
 
 
 def _is_vector(value):
@@ -102,35 +108,22 @@ class FileBackend:
             rows = [self._by_token[token] for token in tokens]
         except KeyError as exc:
             raise TokenNotFound(exc.args[0]) from exc
-        return _normalize_rows(rows)
+        return _normalize_rows(rows, tokens)
 
 
 class HttpBackend:
-    """POST /embed with {"tokens": [...]}, expecting {"vectors": [[...], ...]}.
-
-    Results are cached per token tuple; the cache is guarded for concurrent
-    access.
-    """
+    """POST /embed with {"tokens": [...]}, expecting {"vectors": [[...], ...]}."""
 
     def __init__(self, base_url):
         self.base_url = base_url.rstrip("/")
-        self._cache = {}
-        self._lock = threading.Lock()
 
     def embed_tokens(self, tokens):
-        key = tuple(tokens)
-        with self._lock:
-            if key in self._cache:
-                return self._cache[key]
         reply = post_json(f"{self.base_url}/embed", {"tokens": list(tokens)}, TIMEOUT_S)
         vectors = reply.get("vectors") if isinstance(reply, dict) else None
         if not (isinstance(vectors, list) and all(map(_is_vector, vectors))
                 and len({len(v) for v in vectors}) == 1):
             raise BackendUnavailable("embedding server: malformed vectors")
-        matrix = _normalize_rows(vectors)
-        with self._lock:
-            self._cache[key] = matrix
-        return matrix
+        return _normalize_rows(vectors, tokens)
 
 
 def embed_tokens(sentence, backend):
@@ -147,7 +140,8 @@ def embed_tokens(sentence, backend):
 def embed_sentence(sentence, backend):
     """Mean-pooled, re-normalized sentence vector."""
     matrix = embed_tokens(sentence, backend)
-    return _normalize_rows(matrix.mean(axis=0, keepdims=True))[0]
+    pooled = matrix.mean(axis=0, keepdims=True)
+    return _normalize_rows(pooled, [sentence.raw], "sentence")[0]
 
 
 def cosine(a, b):

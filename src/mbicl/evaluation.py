@@ -82,7 +82,7 @@ class ExperimentConfig:
     selection_method: str  # one of METHODS
     k_values: tuple = DEFAULT_K_GRID
     orderings: tuple = (sel.Ordering.HIGH_TO_LOW.value,)
-    seeds: tuple = (0,)
+    seeds: tuple = ()
     template: PromptTemplate = field(default_factory=PromptTemplate)
     params: GenerationParams = field(default_factory=GenerationParams)
     embedding_backend: object = None
@@ -155,17 +155,21 @@ def cell_seeds(method, ordering, seeds):
 def _example_sets(config, scored_cache, k, ordering, seed):
     """One ExampleSet per test instance, and the manifest's selected_pairs.
 
-    KATE retrieves its own examples for each query; every other method
-    selects one set on the tune corpus and shares it across the test corpus.
-    A k 0 cell prompts with no examples.
+    Pairs are scored once per grid, into *scored_cache*. KATE ranks them per
+    test query, and each query gets its own top k, most similar last; every
+    other method shares one set across the test corpus. k 0 has no examples.
     """
     method = config.selection_method
     if k == 0:
         return [None] * len(config.test_corpus), []
     if method == "kate":
+        if method not in scored_cache:
+            scored_cache[method] = sel.kate_select(
+                config.tune_corpus, [inst.source for inst in config.test_corpus],
+                max(config.k_values), config.embedding_backend)
         example_sets = [
-            sel.kate_select(config.tune_corpus, inst.source, k, config.embedding_backend)
-            for inst in config.test_corpus
+            sel.order_examples(sel.select_top_k(pairs, k), sel.Ordering.LOW_TO_HIGH)
+            for pairs in scored_cache[method]
         ]
         tune_ids = {p.instance_id for s in example_sets for p in s.pairs}
         return example_sets, sorted(tune_ids)

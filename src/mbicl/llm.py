@@ -7,6 +7,7 @@ parameters default to temperature 0.7, max_tokens 256, top_p 1, both
 penalties 0.
 """
 
+import fcntl
 import hashlib
 import json
 import os
@@ -243,34 +244,35 @@ class ResponseCache:
         if not self.path.exists():
             return
         with self.path.open(encoding="utf-8") as fh:
+            fcntl.flock(fh, fcntl.LOCK_EX)  # so no append is seen half-written
             lines = list(fh)
-        rewrite = bool(lines) and not lines[-1].endswith("\n")
-        if rewrite:
-            lines[-1] += "\n"  # the next append must start a line of its own
-        good, bad = [], []
-        for lineno, line in enumerate(lines, start=1):
-            if line.strip():
-                try:
-                    record = decode(line, _record_from_json, self.path, lineno)
-                except ParseError:
-                    bad.append(line)
-                    continue
-                self._records[record.digest] = record
-            good.append(line)
-        if bad:
-            quarantine = self.path.with_name(self.path.name + ".quarantine")
-            with quarantine.open("a", encoding="utf-8") as fh:
-                fh.writelines(bad)
-        if bad or rewrite:
-            self.path.write_text("".join(good), encoding="utf-8")
+            rewrite = bool(lines) and not lines[-1].endswith("\n")
+            if rewrite:
+                lines[-1] += "\n"  # the next append must start a line of its own
+            good, bad = [], []
+            for lineno, line in enumerate(lines, start=1):
+                if line.strip():
+                    try:
+                        record = decode(line, _record_from_json, self.path, lineno)
+                    except ParseError:
+                        bad.append(line)
+                        continue
+                    self._records[record.digest] = record
+                good.append(line)
+            if bad:
+                quarantine = self.path.with_name(self.path.name + ".quarantine")
+                with quarantine.open("a", encoding="utf-8") as out:
+                    out.writelines(bad)
+            if bad or rewrite:
+                self.path.write_text("".join(good), encoding="utf-8")
 
     def get(self, digest):
         with self._lock:
             return self._records.get(digest)
 
     def put(self, record):
-        # one write(2) to an O_APPEND descriptor, so that the records of
-        # processes sharing the cache do not interleave
+        # one write(2) to an O_APPEND descriptor under the file lock, so that
+        # the records of processes sharing the cache do not interleave
         line = (_record_to_json(record) + "\n").encode("utf-8")
         with self._lock:
             if record.digest in self._records:
@@ -278,6 +280,7 @@ class ResponseCache:
             self._records[record.digest] = record
             fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
             try:
+                fcntl.flock(fd, fcntl.LOCK_EX)
                 os.write(fd, line)
             finally:
                 os.close(fd)

@@ -105,8 +105,9 @@ def score_pairs(corpus, metric, embedding_backend=None):
             score = sari_sentence(inst.source, ref, rest[j])
         else:  # Metric.BERTPREC
             cand = emb.embed_tokens(ref, embedding_backend)
-            reference = emb.embed_tokens(inst.source, embedding_backend)
-            score = bertscore_precision(cand, reference)
+            if j == 0:
+                source = emb.embed_tokens(inst.source, embedding_backend)
+            score = bertscore_precision(cand, source)
             if score >= DUPLICATE_SCORE:
                 continue
         pairs.append(_pair(inst, j, metric.value, score))
@@ -184,23 +185,21 @@ def random_select(corpus, k, seed):
     )
 
 
-def kate_select(dev, query, k, embedding_backend):
-    """k dev pairs whose complex-sentence embedding is most similar to the
-    query sentence embedding.
-
-    Each instance contributes one pair, its complex sentence paired with its
-    first reference. The most similar example comes last, adjacent to the
-    query in the rendered prompt.
-    """
+def kate_select(dev, queries, k, embedding_backend):
+    """Per query sentence, the k dev pairs (complex sentence, first reference)
+    whose complex-sentence embedding is most similar to the query's, most
+    similar first. Each dev source and each query is embedded once."""
     if embedding_backend is None:
         raise EmbeddingBackendMissing("similarity retrieval needs --embeddings")
-    query_vec = emb.embed_sentence(query, embedding_backend)
-    scored = [
-        _pair(inst, 0, "kate",
-              emb.cosine(emb.embed_sentence(inst.source, embedding_backend), query_vec))
-        for inst in dev
-    ]
-    return order_examples(select_top_k(scored, k), Ordering.LOW_TO_HIGH)
+    ranked, dev_vecs = [], None
+    for query in queries:
+        query_vec = emb.embed_sentence(query, embedding_backend)
+        if dev_vecs is None:  # after the first query, whose failure is reported first
+            dev_vecs = [emb.embed_sentence(i.source, embedding_backend) for i in dev]
+        scored = [_pair(inst, 0, "kate", emb.cosine(vec, query_vec))
+                  for inst, vec in zip(dev, dev_vecs)]
+        ranked.append(sorted(scored, key=_rank_key)[:k])
+    return ranked
 
 
 # -- on-disk formats -----------------------------------------------------

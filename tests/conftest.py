@@ -31,6 +31,18 @@ class CountingBackend:
         return self.inner.generate(prompt_text, params)
 
 
+class CountingEmbedder:
+    """An embedding backend wrapper that records the tokens of every call."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = []
+
+    def embed_tokens(self, tokens):
+        self.calls.append(tuple(tokens))
+        return self.inner.embed_tokens(tokens)
+
+
 @pytest.fixture(autouse=True)
 def http_sleeps(monkeypatch):
     """The backoff sleeps of ``llm.post_json``, recorded instead of slept.

@@ -122,14 +122,38 @@ def test_zero_vector_rejected(tmp_path):
         embed_tokens(sent("cat"), FileBackend(p))
 
 
+@pytest.mark.parametrize("vector", [[0.0, 0.0], [1e-200, 1e-200]],
+                         ids=["zero", "underflow"])
+def test_zero_norm_names_the_token(tmp_path, vector):
+    p = tmp_path / "emb.jsonl"
+    p.write_text("".join(
+        json.dumps({"token": token, "vector": v}) + "\n"
+        for token, v in (("cat", [1.0, 0.0]), ("tiny", vector))
+    ))
+    with pytest.raises(EmptyEmbedding, match="token 'tiny' .* norm is 0 or underflows"):
+        embed_tokens(sent("cat tiny"), FileBackend(p))
+
+
+def test_pooled_zero_vector_names_the_sentence():
+    class Opposite:
+        def embed_tokens(self, tokens):
+            return np.array([[1.0, 0.0], [-1.0, 0.0]])
+
+    with pytest.raises(EmptyEmbedding, match="vector of sentence 'up down'"):
+        embed_sentence(sent("up down"), Opposite())
+
+
 class _NoTokens:
     def embed_tokens(self, tokens):
         return np.empty((0, 2))
 
 
 class _EmbedHandler(BaseHTTPRequestHandler):
+    requests_seen = []
+
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        self.requests_seen.append(body["tokens"])
         vectors = [[float(len(t)), 1.0] for t in body["tokens"]]
         payload = json.dumps({"vectors": vectors}).encode()
         self.send_response(200)
@@ -144,6 +168,7 @@ class _EmbedHandler(BaseHTTPRequestHandler):
 
 @pytest.fixture
 def embed_server():
+    _EmbedHandler.requests_seen.clear()
     server = HTTPServer(("127.0.0.1", 0), _EmbedHandler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -159,8 +184,9 @@ def test_http_backend(embed_server):
     m = embed_tokens(sent("cat bird"), backend)
     assert m.shape == (2, 2)
     assert np.allclose(np.linalg.norm(m, axis=1), 1.0)
-    # cached second call returns the same matrix object
-    assert embed_tokens(sent("cat bird"), backend) is m
+    # nothing is cached: a second call asks the server again, for the same rows
+    assert np.array_equal(embed_tokens(sent("cat bird"), backend), m)
+    assert _EmbedHandler.requests_seen == [["cat", "bird"], ["cat", "bird"]]
 
 
 def test_http_backend_unavailable():
@@ -188,6 +214,16 @@ def test_http_backend_unavailable():
 def test_http_backend_malformed_reply_is_unavailable(reply, fake_post):
     fake_post.script.append(http_reply(200, reply))
     with pytest.raises(BackendUnavailable, match="malformed vectors"):
+        embed_tokens(sent("cat bird"), HttpBackend("http://h"))
+
+
+@pytest.mark.parametrize("vectors, name", [
+    ([[1.0, 0.0], [0.0, 0.0]], "token 'bird'"),
+    ([[1.0, 0.0], [1.0, 0.0], [0.0, 0.0]], "row 2"),  # more rows than tokens
+])
+def test_http_zero_vector_names_its_row(vectors, name, fake_post):
+    fake_post.script.append(http_reply(200, {"vectors": vectors}))
+    with pytest.raises(EmptyEmbedding, match=f"vector of {name} cannot be normalized"):
         embed_tokens(sent("cat bird"), HttpBackend("http://h"))
 
 

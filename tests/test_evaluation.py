@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import CountingBackend, load_pins, make_corpus, sent
+from conftest import CountingBackend, CountingEmbedder, load_pins, make_corpus, sent
 from mbicl import (
     CompletionClient,
     ExperimentConfig,
@@ -10,11 +10,13 @@ from mbicl import (
     run_experiment,
 )
 from mbicl import evaluation, metrics
-from mbicl.embeddings import HashBackend
-from mbicl.errors import BackendUnavailable, EmptyCompletion, LengthMismatch
+from mbicl.embeddings import HashBackend, cosine, embed_sentence
+from mbicl.errors import BackendUnavailable, EmptyCompletion, LengthMismatch, UsageError
 from mbicl.evaluation import format_grid_table, write_grid_csv, write_report
 from mbicl.llm import MockEchoBackend, MockFirstReferenceBackend
 from mbicl.metrics import bleu_corpus, sari_sentence
+from mbicl.prompting import PromptTemplate, build_prompt
+from mbicl.selection import ExampleSet, ScoredPair
 
 
 def echo_client(cache_path=None):
@@ -243,6 +245,64 @@ def test_kate_cells(toy_corpus, echo_corpus):
     assert not failures
     assert len(reports) == 1
     assert set(reports[0].manifest["selected_pairs"]) <= {"0", "1", "2"}
+
+
+class RecordingBackend(MockEchoBackend):
+    def __init__(self):
+        self.prompts = []
+
+    def generate(self, prompt_text, params):
+        self.prompts.append(prompt_text)
+        return super().generate(prompt_text, params)
+
+
+def test_kate_grid_matches_brute_force_and_embeds_each_sentence_once(
+    toy_corpus, echo_corpus
+):
+    backend, embedder = RecordingBackend(), CountingEmbedder(HashBackend())
+    config = config_for(
+        toy_corpus,
+        echo_corpus,
+        CompletionClient(backend),
+        selection_method="kate",
+        k_values=(1, 2, 3),
+        orderings=("high-to-low", "low-to-high"),
+        embedding_backend=embedder,
+        max_in_flight=1,
+    )
+    reports, failures = run_experiment(config)
+    assert not failures and len(reports) == 6
+    queries = [inst.source for inst in echo_corpus]
+    sources = [inst.source.tokens for inst in toy_corpus]
+    assert embedder.calls == [
+        queries[0].tokens, *sources, *(q.tokens for q in queries[1:])
+    ]
+
+    expected = []
+    for query in queries:
+        qv = embed_sentence(query, HashBackend())
+        ranked = sorted(
+            toy_corpus,
+            key=lambda i: (-cosine(embed_sentence(i.source, HashBackend()), qv), i.id),
+        )
+        for k in (1, 2, 3):
+            pairs = tuple(  # most similar last, next to the query
+                ScoredPair(i.id, 0, i.source, i.references[0], "kate", None)
+                for i in reversed(ranked[:k])
+            )
+            examples = ExampleSet(pairs, k, "low-to-high", "kate")
+            expected.append(build_prompt(PromptTemplate(), examples, query).text)
+    # each k runs once per ordering, with the same prompts
+    assert sorted(backend.prompts) == sorted(expected * 2)
+
+
+def test_random_cells_need_a_seed(toy_corpus, echo_corpus):
+    for method, ordering in (("random", "high-to-low"), ("cr", "random")):
+        with pytest.raises(UsageError, match="needs --seed"):
+            config_for(toy_corpus, echo_corpus, echo_client(), selection_method=method,
+                       k_values=(1,), orderings=(ordering,))
+    config = config_for(toy_corpus, echo_corpus, echo_client(), k_values=(1,))
+    assert config.cells == ((1, "high-to-low", None),)
 
 
 def test_report_emission(toy_corpus, echo_corpus, tmp_path):

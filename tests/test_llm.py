@@ -1,3 +1,4 @@
+import fcntl
 import json
 import os
 import subprocess
@@ -219,6 +220,33 @@ def test_cache_appends_from_processes_do_not_interleave(tmp_path):
     assert [w.wait(timeout=60) for w in workers] == [0] * 4
     assert len(ResponseCache(path)) == 100
     assert not (tmp_path / "cache.jsonl.quarantine").exists()
+
+
+def test_cache_load_waits_for_an_append_in_progress(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    client = CompletionClient(MockEchoBackend(), ResponseCache(path))
+    for i in range(5):
+        client.complete(prompt_for(f"Cat number {i}."), PARAMS)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(lines[:3]), encoding="utf-8")
+
+    loaded = []
+    loader = threading.Thread(
+        target=lambda: loaded.append(ResponseCache(path)), daemon=True
+    )
+    with path.open("a", encoding="utf-8") as fh:  # an appender, mid-record
+        fcntl.flock(fh, fcntl.LOCK_EX)
+        fh.write(lines[3][:40])
+        fh.flush()
+        loader.start()
+        loader.join(timeout=0.5)
+        assert loader.is_alive()
+        fh.write(lines[3][40:] + lines[4])
+    loader.join(timeout=10)
+    assert not loader.is_alive()
+    assert len(loaded[0]) == 5
+    assert not (tmp_path / "cache.jsonl.quarantine").exists()
+    assert path.read_text(encoding="utf-8") == "".join(lines)
 
 
 def test_batch_complete_order_and_isolation(toy_corpus):

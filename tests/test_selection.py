@@ -2,24 +2,31 @@ import random
 
 import pytest
 
-from conftest import make_corpus, sent
+from conftest import CountingEmbedder, make_corpus, sent
 from mbicl import (
     Ordering,
     ScoredPair,
+    bertscore_precision,
     kate_select,
     order_examples,
     random_select,
     score_pairs,
     select_top_k,
 )
-from mbicl.embeddings import HashBackend, cosine, embed_sentence
+from mbicl.embeddings import HashBackend, cosine, embed_sentence, embed_tokens
 from mbicl.errors import (
     EmbeddingBackendMissing,
     EmptyCorpus,
     SariNeedsMultipleReferences,
     UsageError,
 )
-from mbicl.selection import load_example_set, load_scored_pairs, save_example_set, save_scored_pairs
+from mbicl.selection import (
+    DUPLICATE_SCORE,
+    load_example_set,
+    load_scored_pairs,
+    save_example_set,
+    save_scored_pairs,
+)
 
 
 def make_pair(id, ref_index=0, score=1.0, metric="cr"):
@@ -97,6 +104,24 @@ def test_score_pairs_bertprec_discards_duplicates():
     # reference 0 token-equals the source -> discarded; reference 1 brings a
     # token absent from the source, so its score stays below 1
     assert [(p.instance_id, p.reference_index) for p in pairs] == [("0", 1)]
+
+
+def test_score_pairs_bertprec_embeds_each_source_once(toy_corpus):
+    backend = CountingEmbedder(HashBackend())
+    pairs = score_pairs(toy_corpus, "bertprec", backend)
+    expected = []
+    for inst in toy_corpus:
+        refs = [ref.tokens for ref in inst.references]
+        expected += [refs[0], inst.source.tokens, *refs[1:]]
+    assert backend.calls == expected
+    scores = [
+        (inst.id, j, bertscore_precision(embed_tokens(ref, HashBackend()),
+                                         embed_tokens(inst.source, HashBackend())))
+        for inst in toy_corpus for j, ref in enumerate(inst.references)
+    ]
+    assert [(p.instance_id, p.reference_index, p.score) for p in pairs] == [
+        row for row in scores if row[2] < DUPLICATE_SCORE
+    ]
 
 
 def test_score_pairs_bertprec_needs_backend(toy_corpus):
@@ -213,15 +238,19 @@ def test_random_select_caps_k(toy_corpus):
 def test_kate_select_exact_match(toy_corpus):
     backend = HashBackend()
     query = toy_corpus.instances[1].source
-    chosen = kate_select(toy_corpus, query, 1, backend)
-    assert chosen.pairs[0].instance_id == "1"
-    assert chosen.pairs[0].reference_index == 0
+    [chosen] = kate_select(toy_corpus, [query], 1, backend)
+    assert chosen[0].instance_id == "1"
+    assert chosen[0].reference_index == 0
 
 
 def test_kate_select_orders_most_similar_last(toy_corpus):
     backend = HashBackend()
     query = sent("He returned to the village at dusk.")
-    chosen = kate_select(toy_corpus, query, 3, backend)
+    [ranked] = kate_select(toy_corpus, [query], 3, backend)
+    sims = [p.score for p in ranked]
+    assert sims == sorted(sims, reverse=True)  # ranked, most similar first
+    # a KATE cell prompts with its top k the other way round
+    chosen = order_examples(select_top_k(ranked, 3), Ordering.LOW_TO_HIGH)
     sims = [p.score for p in chosen.pairs]
     assert sims == sorted(sims)  # ascending, nearest adjacent to the query
 
@@ -234,15 +263,46 @@ def test_kate_select_matches_brute_force_cosines(toy_corpus):
         toy_corpus,
         key=lambda inst: (-cosine(embed_sentence(inst.source, backend), qv), inst.id),
     )
-    chosen = kate_select(toy_corpus, query, 2, backend)
-    assert [p.instance_id for p in chosen.pairs] == [
-        inst.id for inst in reversed(expected[:2])
-    ]
+    [chosen] = kate_select(toy_corpus, [query], 2, backend)
+    assert [p.instance_id for p in chosen] == [inst.id for inst in expected[:2]]
+
+
+KATE_DEV = [
+    ("a", "The cat sat on the mat.", ["The cat sat."]),
+    ("b", "A dog barked at the moon all night.", ["A dog barked."]),
+    ("c", "He returned to the village at dawn.", ["He came back."]),
+    ("d", "The old house was demolished quickly.", ["The house was torn down."]),
+    ("e", "She sold the old car to a neighbour.", ["She sold the car."]),
+    ("f", "He returned to the village at dawn.", ["He went home."]),
+    ("g", "Rain fell on the village all night.", ["It rained."]),
+]
+
+
+def test_kate_select_every_query_and_k_match_brute_force():
+    dev = make_corpus(KATE_DEV)
+    backend = HashBackend()
+    queries = [sent(q) for q in (
+        "He returned to the village at dawn.",  # ties c and f exactly
+        "The cat barked at the old moon.",
+        "Rain fell all night.",
+    )]
+    ranked = kate_select(dev, queries, 5, backend)
+    assert len(ranked) == len(queries)
+    for query, pairs in zip(queries, ranked):
+        qv = embed_sentence(query, backend)
+        brute = sorted(
+            (-cosine(embed_sentence(inst.source, backend), qv), inst.id) for inst in dev
+        )
+        for k in range(1, 6):
+            top = select_top_k(pairs, k).pairs
+            assert [(-p.score, p.instance_id) for p in top] == brute[:k]
+            assert all(p.reference_index == 0 for p in top)
+    assert [p.instance_id for p in ranked[0][:2]] == ["c", "f"]
 
 
 def test_kate_select_needs_backend(toy_corpus):
     with pytest.raises(EmbeddingBackendMissing):
-        kate_select(toy_corpus, sent("A query."), 1, None)
+        kate_select(toy_corpus, [sent("A query.")], 1, None)
 
 
 def test_scored_pair_round_trip(tmp_path, toy_corpus):
