@@ -1,6 +1,7 @@
 """Command-line surface.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 backend error.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 backend error; a
+package error's code comes from its family in ``errors``.
 Every command reads/writes plain files so outputs of one stage feed the
 next; the response cache is the only shared state.
 """
@@ -13,7 +14,7 @@ import click
 from . import embeddings as emb
 from . import evaluation, llm, selection
 from .corpus import Sentence, load_jsonl, load_parallel, read_lines
-from .errors import BackendError, DataError, MbiclError, UsageError
+from .errors import MbiclError
 from .llm import GenerationParams
 from .prompting import PromptTemplate, build_prompt, load_template
 
@@ -227,15 +228,9 @@ def main(argv=None):
         return 1
     except click.exceptions.Abort:
         return 1
-    except UsageError as exc:
-        click.echo(f"error: {exc}", err=True)
-        return 1
-    except DataError as exc:
-        click.echo(f"data error: {exc}", err=True)
-        return 2
-    except BackendError as exc:
-        click.echo(f"backend error: {exc}", err=True)
-        return 3
+    except MbiclError as exc:
+        click.echo(f"{exc.label}: {exc}", err=True)
+        return exc.exit_code
     return 0
 
 

@@ -62,7 +62,7 @@ class InstanceGroup:
 
     def __post_init__(self):
         if len(self.references) < 1:
-            raise EmptyReferences(self.id)
+            raise EmptyReferences(f"instance {self.id!r} has no references")
 
     @property
     def n_references(self):
@@ -89,7 +89,7 @@ def read_lines(path):
         lines.pop()
     for i, line in enumerate(lines):
         if not line.strip():
-            raise EmptyLine(str(path), i + 1)
+            raise EmptyLine(f"{path}:{i + 1}: empty line")
     return lines
 
 
@@ -116,7 +116,9 @@ def load_parallel(dir_path, name=None, split="validation"):
     for _, ref_path in sorted(ref_paths.items()):
         lines = read_lines(ref_path)
         if len(lines) != len(sources):
-            raise LineCountMismatch(str(ref_path), len(sources), len(lines))
+            raise LineCountMismatch(
+                f"{ref_path}: expected {len(sources)} lines, got {len(lines)}"
+            )
         ref_columns.append(lines)
 
     instances = []
@@ -139,11 +141,11 @@ def decode(text, build, path, lineno=1):
     try:
         return build(json.loads(text.rstrip()))
     except json.JSONDecodeError as exc:
-        raise ParseError(path, lineno + exc.lineno - 1, exc.msg) from exc
+        raise ParseError(f"{path}:{lineno + exc.lineno - 1}: {exc.msg}") from exc
     except KeyError as exc:
-        raise ParseError(path, lineno, f"missing field {exc}") from exc
+        raise ParseError(f"{path}:{lineno}: missing field {exc}") from exc
     except (ValueError, TypeError, AttributeError) as exc:
-        raise ParseError(path, lineno, str(exc)) from exc
+        raise ParseError(f"{path}:{lineno}: {exc}") from exc
     except DataError as exc:
         exc.args = (f"{path}:{lineno}: {exc}",)
         raise
@@ -180,7 +182,7 @@ def load_jsonl(file_path, name=None, split="validation"):
     def build(obj):
         inst = _instance_from_json(obj)
         if inst.id in seen:
-            raise DuplicateId(inst.id)
+            raise DuplicateId(f"duplicate instance id {inst.id!r}")
         seen.add(inst.id)
         return inst
 

@@ -36,11 +36,9 @@ def _normalize_rows(matrix, labels, kind="token"):
     norms = np.linalg.norm(matrix, axis=1, keepdims=True)
     zero = np.flatnonzero(norms == 0)
     if zero.size:
-        row = zero[0]
-        # an embedding server may reply with more rows than tokens
-        name = f"{kind} {labels[row]!r}" if row < len(labels) else f"row {row}"
         raise EmptyEmbedding(
-            f"the vector of {name} cannot be normalized: its norm is 0 or underflows"
+            f"the vector of {kind} {labels[zero[0]]!r} cannot be normalized: "
+            "its norm is 0 or underflows"
         )
     return matrix / norms
 
@@ -107,7 +105,7 @@ class FileBackend:
         try:
             rows = [self._by_token[token] for token in tokens]
         except KeyError as exc:
-            raise TokenNotFound(exc.args[0]) from exc
+            raise TokenNotFound(f"no embedding for token {exc.args[0]!r}") from exc
         return _normalize_rows(rows, tokens)
 
 
@@ -120,7 +118,8 @@ class HttpBackend:
     def embed_tokens(self, tokens):
         reply = post_json(f"{self.base_url}/embed", {"tokens": list(tokens)}, TIMEOUT_S)
         vectors = reply.get("vectors") if isinstance(reply, dict) else None
-        if not (isinstance(vectors, list) and all(map(_is_vector, vectors))
+        if not (isinstance(vectors, list) and len(vectors) == len(tokens)
+                and all(map(_is_vector, vectors))
                 and len({len(v) for v in vectors}) == 1):
             raise BackendUnavailable("embedding server: malformed vectors")
         return _normalize_rows(vectors, tokens)

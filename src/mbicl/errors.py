@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
-Three families, matching the CLI exit codes: UsageError (1), DataError (2),
-BackendError (3).
+Every error is built from its message alone. Its family sets the CLI exit
+code and the label that prefixes the message on stderr.
 """
 
 
@@ -12,13 +12,22 @@ class MbiclError(Exception):
 class UsageError(MbiclError, ValueError):
     """A bad argument value, from a flag or a library call."""
 
+    exit_code = 1
+    label = "error"
+
 
 class DataError(MbiclError):
     """Malformed or inconsistent input data."""
 
+    exit_code = 2
+    label = "data error"
+
 
 class BackendError(MbiclError):
     """A configured backend (embedding or completion) failed."""
+
+    exit_code = 3
+    label = "backend error"
 
 
 # -- corpus --------------------------------------------------------------
@@ -28,37 +37,23 @@ class MissingFile(DataError):
 
 
 class LineCountMismatch(DataError):
-    def __init__(self, file, expected, got):
-        super().__init__(f"{file}: expected {expected} lines, got {got}")
-        self.file = file
-        self.expected = expected
-        self.got = got
+    pass
 
 
 class EmptyLine(DataError):
-    def __init__(self, file, lineno):
-        super().__init__(f"{file}:{lineno}: empty line")
-        self.file = file
-        self.lineno = lineno
+    pass
 
 
 class ParseError(DataError):
-    def __init__(self, file, lineno, detail):
-        super().__init__(f"{file}:{lineno}: {detail}")
-        self.file = file
-        self.lineno = lineno
+    pass
 
 
 class DuplicateId(DataError):
-    def __init__(self, id):
-        super().__init__(f"duplicate instance id {id!r}")
-        self.id = id
+    pass
 
 
 class EmptyReferences(DataError):
-    def __init__(self, id):
-        super().__init__(f"instance {id!r} has no references")
-        self.id = id
+    pass
 
 
 class EmptySentence(DataError):
@@ -100,17 +95,13 @@ class EmbeddingBackendMissing(UsageError):
 # -- embeddings ----------------------------------------------------------
 
 class TokenNotFound(DataError):
-    def __init__(self, token):
-        super().__init__(f"no embedding for token {token!r}")
-        self.token = token
+    pass
 
 
 # -- prompting -----------------------------------------------------------
 
 class TemplateSlotMissing(DataError):
-    def __init__(self, slot):
-        super().__init__(f"template is missing slot {slot}")
-        self.slot = slot
+    pass
 
 
 class EmptyCompletion(DataError):

@@ -101,7 +101,9 @@ def _extract_query(prompt_text):
     """The complex sentence of the final (query) block of a rendered prompt."""
     start = prompt_text.rfind(COMPLEX_MARKER)
     if start == -1:
-        return prompt_text.strip()
+        raise BackendUnavailable(
+            f"mock backend: the prompt has no {COMPLEX_MARKER!r} marker"
+        )
     body = prompt_text[start + len(COMPLEX_MARKER) :]
     end = body.find(SIMPLE_MARKER)
     if end != -1:

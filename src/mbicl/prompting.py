@@ -5,7 +5,6 @@ with an empty simple-sentence slot, all joined by a separator. Rendering is
 byte-exact for identical inputs.
 """
 
-import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,19 +30,14 @@ class PromptTemplate:
     def __post_init__(self):
         for slot in ("{c}", "{r}"):
             if self.example_format.count(slot) != 1:
-                raise TemplateSlotMissing(slot)
+                raise TemplateSlotMissing(f"template is missing slot {slot}")
         if self.query_format.count("{c}") != 1:
-            raise TemplateSlotMissing("{c}")
+            raise TemplateSlotMissing("template is missing slot {c}")
 
 
 @dataclass(frozen=True)
 class Prompt:
     text: str
-    k: int
-
-    @property
-    def digest(self):
-        return hashlib.sha256(self.text.encode("utf-8")).hexdigest()
 
 
 def load_template(path):
@@ -51,7 +45,9 @@ def load_template(path):
     by lines containing only ``---``. The separator stays at its default."""
     sections = Path(path).read_text(encoding="utf-8").split("\n---\n")
     if len(sections) != 3:
-        raise TemplateSlotMissing("expected 3 ----separated sections")
+        raise TemplateSlotMissing(
+            f"{path}: expected 3 sections separated by --- lines, found {len(sections)}"
+        )
     instruction, example_format, query_format = (s.strip("\n") for s in sections)
     return PromptTemplate(
         instruction=instruction,
@@ -74,7 +70,7 @@ def build_prompt(template, examples, query):
             )
         )
     blocks.append(template.query_format.replace("{c}", query.raw))
-    return Prompt(text=template.separator.join(blocks), k=len(pairs))
+    return Prompt(text=template.separator.join(blocks))
 
 
 def parse_completion(raw_model_output):

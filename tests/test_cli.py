@@ -7,6 +7,7 @@ import pytest
 from conftest import FIXTURES, http_reply
 from mbicl.cli import cli, main
 from mbicl.corpus import save_jsonl
+from mbicl.errors import MbiclError
 from mbicl.selection import load_example_set
 
 
@@ -340,6 +341,96 @@ def test_malformed_input_names_file_and_line(case, tmp_path, capsys):
         assert f"{tmp_path / name}:{lineno}: " in err
 
 
+SECTIONS = "Simplify.\n---\nComplex: {c} Simple: {r}\n---\nComplex: {c} Simple:"
+PARALLEL = {"par/complex.txt": "A big cat sat.\nA dog ran far.\n",
+            "par/ref.0.txt": "A cat sat.\nA dog ran.\n"}
+SCORE_CR = ["score", "{d}/dev.jsonl", "--metric", "cr", "-o", "{d}/s.jsonl"]
+BUILD_PROMPT = ["build-prompt", "--query", "A query.", "--template", "{d}/t.txt"]
+
+# case: (files under a fresh directory {d}, CLI arguments, the one stderr line)
+DATA_FAULTS = {
+    "short-reference-file": (
+        {**PARALLEL, "par/ref.1.txt": "A cat sat.\n"},
+        ["score", "{d}/par", "--metric", "cr", "-o", "{d}/s.jsonl"],
+        "{d}/par/ref.1.txt: expected 2 lines, got 1",
+    ),
+    "blank-corpus-line": (
+        {**PARALLEL, "par/complex.txt": "A big cat sat.\n\n"},
+        ["score", "{d}/par", "--metric", "cr", "-o", "{d}/s.jsonl"],
+        "{d}/par/complex.txt:2: empty line",
+    ),
+    "bad-json": (
+        {"dev.jsonl": GOOD_INSTANCE + '{"id": "1", \n'},
+        SCORE_CR,
+        "{d}/dev.jsonl:2: Expecting property name enclosed in double quotes",
+    ),
+    "missing-field": (
+        {"dev.jsonl": GOOD_INSTANCE + '{"id": "1", "source": "B c."}\n'},
+        SCORE_CR,
+        "{d}/dev.jsonl:2: missing field 'references'",
+    ),
+    "wrong-type": (
+        {"dev.jsonl": GOOD_INSTANCE + '{"id": "1", "source": "B c.", "references": 5}\n'},
+        SCORE_CR,
+        "{d}/dev.jsonl:2: references must be a list",
+    ),
+    "duplicate-id": (
+        {"dev.jsonl": GOOD_INSTANCE * 2},
+        SCORE_CR,
+        "{d}/dev.jsonl:2: duplicate instance id '0'",
+    ),
+    "no-references": (
+        {"dev.jsonl": '{"id": "0", "source": "A big cat sat.", "references": []}\n'},
+        SCORE_CR,
+        "{d}/dev.jsonl:1: instance '0' has no references",
+    ),
+    "token-not-in-embedding-file": (
+        {"dev.jsonl": GOOD_INSTANCE, "emb.jsonl": GOOD_VECTOR},
+        ["score", "{d}/dev.jsonl", "--metric", "bertprec",
+         "--embeddings", "file:{d}/emb.jsonl", "-o", "{d}/s.jsonl"],
+        "no embedding for token 'cat'",
+    ),
+    "example-format-without-r": (
+        {"t.txt": SECTIONS.replace(" Simple: {r}", "")},
+        BUILD_PROMPT,
+        "template is missing slot {r}",
+    ),
+    "query-format-without-c": (
+        {"t.txt": SECTIONS.replace("Complex: {c} Simple:", "Simple:")},
+        BUILD_PROMPT,
+        "template is missing slot {c}",
+    ),
+    "template-with-two-sections": (
+        {"t.txt": SECTIONS.rsplit("\n---\n", 1)[0]},
+        BUILD_PROMPT,
+        "{d}/t.txt: expected 3 sections separated by --- lines, found 2",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(DATA_FAULTS))
+def test_data_fault_prints_one_line_and_exits_2(case, tmp_path, capsys):
+    files, args, line = DATA_FAULTS[case]
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(text)
+    code, _, err = run_cli(capsys, *(a.replace("{d}", str(tmp_path)) for a in args))
+    assert (code, err) == (2, f"data error: {line.replace('{d}', str(tmp_path))}\n")
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_error_class_has_a_family_exit_code():
+    classes = list(_subclasses(MbiclError))
+    assert len(classes) > 20
+    for cls in classes:
+        assert cls.exit_code in (1, 2, 3), cls
+
+
 def test_select_rejects_a_non_numeric_score(corpus_file, tmp_path, capsys):
     scores = tmp_path / "scores.jsonl"
     run_cli(capsys, "score", corpus_file, "--metric", "cr", "-o", scores)
@@ -503,6 +594,22 @@ def test_run_whose_every_cell_fails_reports_the_cell(corpus_file, tmp_path, caps
     assert code == 1
     assert "cell bertprec-k2-high-to-low failed: " in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("backend", ["mock-echo", "mock-first-reference"])
+def test_mock_backend_needs_the_default_markers(backend, corpus_file, tmp_path, capsys):
+    template = tmp_path / "t.txt"
+    template.write_text("Rewrite.\n---\nHard: {c}\nEasy: {r}\n---\nHard: {c}\nEasy:")
+    code, _, err = run_cli(
+        capsys, *_run_args(corpus_file, tmp_path, "grid"), "--backend", backend,
+        "--template", template, "--method", "cr", "--k-list", "1",
+        "--out-dir", tmp_path / "g",
+    )
+    assert code == 3
+    assert err.endswith(
+        "backend error: 10 of 10 completions failed; first, instance 0: "
+        "mock backend: the prompt has no 'Complex sentence:' marker\n"
+    )
 
 
 def test_grid_emits_reports_and_csv(corpus_file, tmp_path, capsys):

@@ -13,7 +13,9 @@ def example_set(n):
 
 def test_zero_shot_structure():
     prompt = build_prompt(PromptTemplate(), None, sent("A big cat runs."))
-    assert prompt.k == 0
+    assert prompt.text.split("\n\n")[1:] == [
+        "Complex sentence: A big cat runs.\nSimple sentence:"
+    ]
     assert prompt.text.count("Complex sentence:") == 1
     assert prompt.text.count("Simple sentence:") == 1
     assert prompt.text.startswith("Simplify the following complex sentences.")
@@ -22,7 +24,10 @@ def test_zero_shot_structure():
 
 def test_two_shot_structure():
     prompt = build_prompt(PromptTemplate(), example_set(2), sent("A big cat runs."))
-    assert prompt.k == 2
+    assert prompt.text.split("\n\n")[1:3] == [
+        "Complex sentence: src 0\nSimple sentence: simple 0",
+        "Complex sentence: src 1\nSimple sentence: simple 1",
+    ]
     assert prompt.text.count("Complex sentence:") == 3
     assert prompt.text.count("Simple sentence:") == 3
 
@@ -40,17 +45,17 @@ def test_build_prompt_deterministic():
     a = build_prompt(PromptTemplate(), example_set(3), sent("Same query."))
     b = build_prompt(PromptTemplate(), example_set(3), sent("Same query."))
     assert a.text == b.text
-    assert a.digest == b.digest
+    assert a.text.endswith("\n\nComplex sentence: Same query.\nSimple sentence:")
 
 
-def test_example_order_changes_digest():
+def test_example_order_changes_text():
     from mbicl import order_examples
 
     chosen = example_set(3)
     reversed_set = order_examples(chosen, "low-to-high")
     a = build_prompt(PromptTemplate(), chosen, sent("Same query."))
     b = build_prompt(PromptTemplate(), reversed_set, sent("Same query."))
-    assert a.digest != b.digest
+    assert a.text != b.text
 
 
 def test_template_slot_validation():
