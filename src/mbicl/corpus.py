@@ -14,16 +14,7 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import (
-    DataError,
-    DuplicateId,
-    EmptyLine,
-    EmptyReferences,
-    EmptySentence,
-    LineCountMismatch,
-    MissingFile,
-    ParseError,
-)
+from .errors import DataError
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
 
@@ -48,7 +39,7 @@ class Sentence:
             raise TypeError(f"sentence must be a string, not {type(raw).__name__}")
         raw = raw.strip()
         if not raw:
-            raise EmptySentence("sentence text is empty")
+            raise DataError("sentence text is empty")
         return cls(raw=raw, tokens=tuple(tokenize(raw)))
 
 
@@ -62,7 +53,7 @@ class InstanceGroup:
 
     def __post_init__(self):
         if len(self.references) < 1:
-            raise EmptyReferences(f"instance {self.id!r} has no references")
+            raise DataError(f"instance {self.id!r} has no references")
 
     @property
     def n_references(self):
@@ -83,13 +74,13 @@ class Corpus:
 
 
 def read_lines(path):
-    """The lines of a line-aligned text file; a blank line is an EmptyLine."""
+    """The lines of a line-aligned text file; a blank line is a DataError."""
     lines = Path(path).read_text(encoding="utf-8").split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     for i, line in enumerate(lines):
         if not line.strip():
-            raise EmptyLine(f"{path}:{i + 1}: empty line")
+            raise DataError(f"{path}:{i + 1}: empty line")
     return lines
 
 
@@ -98,7 +89,7 @@ def load_parallel(dir_path, name=None, split="validation"):
     dir_path = Path(dir_path)
     complex_path = dir_path / "complex.txt"
     if not complex_path.is_file():
-        raise MissingFile(f"{complex_path} not found")
+        raise DataError(f"{complex_path} not found")
     ref_paths = {}
     for path in dir_path.glob("ref.*.txt"):
         index = re.fullmatch(r"ref\.(0|[1-9][0-9]*)\.txt", path.name)
@@ -106,17 +97,17 @@ def load_parallel(dir_path, name=None, split="validation"):
             raise DataError(f"{path}: reference files are named ref.<i>.txt")
         ref_paths[int(index[1])] = path
     if not ref_paths:
-        raise MissingFile(f"no ref.<i>.txt files in {dir_path}")
+        raise DataError(f"no ref.<i>.txt files in {dir_path}")
     for i in range(len(ref_paths)):
         if i not in ref_paths:
-            raise MissingFile(f"{dir_path / f'ref.{i}.txt'} not found")
+            raise DataError(f"{dir_path / f'ref.{i}.txt'} not found")
 
     sources = read_lines(complex_path)
     ref_columns = []
     for _, ref_path in sorted(ref_paths.items()):
         lines = read_lines(ref_path)
         if len(lines) != len(sources):
-            raise LineCountMismatch(
+            raise DataError(
                 f"{ref_path}: expected {len(sources)} lines, got {len(lines)}"
             )
         ref_columns.append(lines)
@@ -133,19 +124,19 @@ def load_parallel(dir_path, name=None, split="validation"):
 def decode(text, build, path, lineno=1):
     """build(json.loads(text)); a rejected line is reported at ``path:lineno``.
 
-    Malformed input is raised as a ParseError, and a DataError from *build*
-    keeps its type. *lineno* is the line of *path* that *text* starts on; a
+    Malformed input, and a DataError from *build*, is raised as a DataError
+    that names the line. *lineno* is the line of *path* that *text* starts on; a
     JSON syntax error is reported at its own line within *text*, and one at
     the end of *text* at its last non-blank line.
     """
     try:
         return build(json.loads(text.rstrip()))
     except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}:{lineno + exc.lineno - 1}: {exc.msg}") from exc
+        raise DataError(f"{path}:{lineno + exc.lineno - 1}: {exc.msg}") from exc
     except KeyError as exc:
-        raise ParseError(f"{path}:{lineno}: missing field {exc}") from exc
+        raise DataError(f"{path}:{lineno}: missing field {exc}") from exc
     except (ValueError, TypeError, AttributeError) as exc:
-        raise ParseError(f"{path}:{lineno}: {exc}") from exc
+        raise DataError(f"{path}:{lineno}: {exc}") from exc
     except DataError as exc:
         exc.args = (f"{path}:{lineno}: {exc}",)
         raise
@@ -155,7 +146,7 @@ def read_jsonl(path, build):
     """[build(obj) for each non-blank line of the JSONL file *path*]."""
     path = Path(path)
     if not path.is_file():
-        raise MissingFile(f"{path} not found")
+        raise DataError(f"{path} not found")
     with path.open(encoding="utf-8") as fh:
         return [
             decode(line, build, path, lineno)
@@ -182,7 +173,7 @@ def load_jsonl(file_path, name=None, split="validation"):
     def build(obj):
         inst = _instance_from_json(obj)
         if inst.id in seen:
-            raise DuplicateId(f"duplicate instance id {inst.id!r}")
+            raise DataError(f"duplicate instance id {inst.id!r}")
         seen.add(inst.id)
         return inst
 

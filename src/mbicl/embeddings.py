@@ -17,13 +17,7 @@ import sys
 import numpy as np
 
 from .corpus import read_jsonl
-from .errors import (
-    BackendUnavailable,
-    DimensionMismatch,
-    EmptyEmbedding,
-    TokenNotFound,
-    UsageError,
-)
+from .errors import BackendError, DataError, UsageError
 from .llm import post_json
 
 DEFAULT_DIM = 32
@@ -36,7 +30,7 @@ def _normalize_rows(matrix, labels, kind="token"):
     norms = np.linalg.norm(matrix, axis=1, keepdims=True)
     zero = np.flatnonzero(norms == 0)
     if zero.size:
-        raise EmptyEmbedding(
+        raise DataError(
             f"the vector of {kind} {labels[zero[0]]!r} cannot be normalized: "
             "its norm is 0 or underflows"
         )
@@ -92,20 +86,23 @@ def _token_vector_from_json(obj):
 
 class FileBackend:
     """Embeddings read from a JSONL store of ``{"token": ..., "vector": [...]}``
-    lines. A token missing from the store raises TokenNotFound.
+    lines. A token missing from the store is a DataError naming the store and
+    the sentence, as its tokens.
     """
 
     def __init__(self, path):
+        self.path = path
         self._by_token = dict(read_jsonl(path, _token_vector_from_json))
         dims = {len(vec) for vec in self._by_token.values()}
         if len(dims) > 1:
-            raise DimensionMismatch(f"{path}: vectors of lengths {sorted(dims)}")
+            raise DataError(f"{path}: vectors of lengths {sorted(dims)}")
 
     def embed_tokens(self, tokens):
         try:
             rows = [self._by_token[token] for token in tokens]
         except KeyError as exc:
-            raise TokenNotFound(f"no embedding for token {exc.args[0]!r}") from exc
+            raise DataError(f"{self.path}: no embedding for token {exc.args[0]!r} "
+                            f"in sentence {' '.join(tokens)!r}") from exc
         return _normalize_rows(rows, tokens)
 
 
@@ -121,17 +118,17 @@ class HttpBackend:
         if not (isinstance(vectors, list) and len(vectors) == len(tokens)
                 and all(map(_is_vector, vectors))
                 and len({len(v) for v in vectors}) == 1):
-            raise BackendUnavailable("embedding server: malformed vectors")
+            raise BackendError("embedding server: malformed vectors")
         return _normalize_rows(vectors, tokens)
 
 
 def embed_tokens(sentence, backend):
     """One unit row per token of *sentence*, in token order."""
     if not sentence.tokens:
-        raise EmptyEmbedding("cannot embed a sentence with no tokens")
+        raise DataError("cannot embed a sentence with no tokens")
     matrix = backend.embed_tokens(sentence.tokens)
     if matrix.shape[0] != len(sentence.tokens):
-        raise DimensionMismatch(
+        raise DataError(
             f"{matrix.shape[0]} rows for {len(sentence.tokens)} tokens"
         )
     return matrix
@@ -148,7 +145,7 @@ def cosine(a, b):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
-        raise DimensionMismatch(f"{a.shape} vs {b.shape}")
+        raise DataError(f"{a.shape} vs {b.shape}")
     return float(a @ b)
 
 

@@ -1,7 +1,9 @@
 """Exception hierarchy shared across the package.
 
-Every error is built from its message alone. Its family sets the CLI exit
-code and the label that prefixes the message on stderr.
+The package raises only the three families below. Each error is built from
+a message that names the fault (and, for input files, the ``file:line``).
+Its family sets the CLI exit code and the label that prefixes the message
+on stderr; library callers catch a family, or ``MbiclError`` for any.
 """
 
 
@@ -28,95 +30,3 @@ class BackendError(MbiclError):
 
     exit_code = 3
     label = "backend error"
-
-
-# -- corpus --------------------------------------------------------------
-
-class MissingFile(DataError):
-    pass
-
-
-class LineCountMismatch(DataError):
-    pass
-
-
-class EmptyLine(DataError):
-    pass
-
-
-class ParseError(DataError):
-    pass
-
-
-class DuplicateId(DataError):
-    pass
-
-
-class EmptyReferences(DataError):
-    pass
-
-
-class EmptySentence(DataError):
-    pass
-
-
-# -- metrics -------------------------------------------------------------
-
-class NoReferences(DataError):
-    pass
-
-
-class LengthMismatch(DataError):
-    pass
-
-
-class EmptyCorpus(DataError):
-    pass
-
-
-class EmptyEmbedding(DataError):
-    pass
-
-
-class DimensionMismatch(DataError):
-    pass
-
-
-# -- selection -----------------------------------------------------------
-
-class SariNeedsMultipleReferences(DataError):
-    pass
-
-
-class EmbeddingBackendMissing(UsageError):
-    pass
-
-
-# -- embeddings ----------------------------------------------------------
-
-class TokenNotFound(DataError):
-    pass
-
-
-# -- prompting -----------------------------------------------------------
-
-class TemplateSlotMissing(DataError):
-    pass
-
-
-class EmptyCompletion(DataError):
-    pass
-
-
-# -- llm -----------------------------------------------------------------
-
-class BackendUnavailable(BackendError):
-    pass
-
-
-class AuthError(BackendError):
-    pass
-
-
-class RateLimited(BackendError):
-    pass

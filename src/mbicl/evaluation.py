@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import selection as sel
-from .errors import EmptyCompletion, EmptyCorpus, LengthMismatch, MbiclError, UsageError
+from .errors import DataError, MbiclError, UsageError
 from .llm import CompletionClient, GenerationParams
 from .metrics import MAX_ORDER, ReferenceCounts, bleu_corpus, sari_sentence
 from .prompting import PromptTemplate, build_prompt, parse_completion
@@ -51,11 +51,11 @@ def evaluate(test_corpus, predictions, run_id="adhoc", manifest=None, tables=Non
     of sentence SARI) and BLEU-4, reading the corpus's reference_tables
     (built when *tables* is None)."""
     if len(predictions) != len(test_corpus):
-        raise LengthMismatch(
+        raise DataError(
             f"{len(predictions)} predictions for {len(test_corpus)} instances"
         )
     if not predictions:
-        raise EmptyCorpus(f"test corpus {test_corpus.name!r} has no instances")
+        raise DataError(f"test corpus {test_corpus.name!r} has no instances")
     tables = tables or reference_tables(test_corpus)
     per_sentence = []
     for inst, pred, table in zip(test_corpus, predictions, tables, strict=True):
@@ -90,17 +90,19 @@ class ExperimentConfig:
     cells: tuple = field(init=False)  # (k, ordering, seed) of every cell
 
     def __post_init__(self):
-        """List the cells; reject a grid that would run no cell or the same
-        cell twice."""
+        """List the cells; reject an unknown method or ordering, and a grid
+        that would run no cell or the same cell twice."""
         if not self.k_values or not self.orderings:
             raise UsageError("a grid needs at least one k value and one ordering")
         listed = (self.k_values, self.orderings, self.seeds)
         if any(len(set(values)) < len(values) for values in listed):
             raise UsageError("a k value, ordering or seed is listed twice")
+        if self.selection_method not in METHODS:
+            raise UsageError(f"unknown selection method {self.selection_method!r}")
         if self.selection_method == "zero-shot" and set(self.k_values) != {0}:
             raise UsageError("zero-shot runs only at k 0 (--k-list 0)")
         for ordering in self.orderings:
-            _ordering(ordering)
+            sel.member(sel.Ordering, ordering)
         cells = []
         for k in self.k_values:
             if k == 0:
@@ -132,20 +134,14 @@ def cell_id(method, k, ordering, seed):
     return cell
 
 
-def _ordering(value):
-    try:
-        return sel.Ordering(value)
-    except ValueError:
-        raise UsageError(f"unknown ordering {value!r}") from None
-
-
 def cell_seeds(method, ordering, seeds):
     """The seeds the cells of *method* and *ordering* run with.
 
     A cell that draws no random numbers runs once, with seed None; a random
     selection or ordering runs once per seed and needs at least one.
     """
-    if method != "random" and _ordering(ordering) is not sel.Ordering.RANDOM:
+    ordering = sel.member(sel.Ordering, ordering)
+    if method != "random" and ordering is not sel.Ordering.RANDOM:
         return (None,)
     if not seeds or None in seeds:
         raise UsageError("random selection or ordering needs --seed")
@@ -211,7 +207,7 @@ def run_cell(config, example_sets, selected_pairs, k, ordering, seed, tables=Non
             failed.append((inst.id, exc))
     if failed:
         # a backend failure outranks a parse failure, so the exit code is kept
-        instance_id, exc = min(failed, key=lambda f: isinstance(f[1], EmptyCompletion))
+        instance_id, exc = min(failed, key=lambda f: isinstance(f[1], DataError))
         exc.args = (f"{len(failed)} of {len(results)} completions failed; "
                     f"first, instance {instance_id}: {exc}",)
         raise exc

@@ -20,15 +20,7 @@ from pathlib import Path
 import requests
 
 from .corpus import decode
-from .errors import (
-    AuthError,
-    BackendError,
-    BackendUnavailable,
-    DataError,
-    ParseError,
-    RateLimited,
-    UsageError,
-)
+from .errors import BackendError, DataError, UsageError
 from .prompting import COMPLEX_MARKER, SIMPLE_MARKER
 
 API_KEY_ENV = "MBICL_API_KEY"
@@ -101,7 +93,7 @@ def _extract_query(prompt_text):
     """The complex sentence of the final (query) block of a rendered prompt."""
     start = prompt_text.rfind(COMPLEX_MARKER)
     if start == -1:
-        raise BackendUnavailable(
+        raise BackendError(
             f"mock backend: the prompt has no {COMPLEX_MARKER!r} marker"
         )
     body = prompt_text[start + len(COMPLEX_MARKER) :]
@@ -134,7 +126,7 @@ class MockFirstReferenceBackend:
         try:
             return self.reference_lookup[query]
         except KeyError as exc:
-            raise BackendUnavailable(f"no reference for query {query!r}") from exc
+            raise BackendError(f"no reference for query {query!r}") from exc
 
     @classmethod
     def for_corpus(cls, corpus):
@@ -153,8 +145,8 @@ def post_json(url, body, timeout, headers=None):
     """POST *body* as JSON and return the decoded reply: the one HTTP policy.
 
     Connection errors, timeouts, 429 and 5xx get 3 attempts, sleeping 1 s then
-    2 s or a retried reply's whole-second Retry-After. 401/403 is AuthError, an
-    exhausted 429 RateLimited, and any other failure BackendUnavailable.
+    2 s or a retried reply's whole-second Retry-After. Any failure left is a
+    BackendError naming its cause: the HTTP status, or the connection error.
     """
     for attempt in range(3):
         if attempt:
@@ -163,18 +155,17 @@ def post_json(url, body, timeout, headers=None):
         try:
             resp = requests.post(url, json=body, headers=headers, timeout=timeout)
         except requests.RequestException as exc:
-            error = BackendUnavailable(str(exc))
+            error = BackendError(str(exc))
             continue
         status = resp.status_code
         if status < 400:
             try:
                 return resp.json()
             except ValueError as exc:
-                raise BackendUnavailable(f"malformed response: {exc}") from exc
-        detail = f"HTTP {status}: {resp.text[:200]}"
+                raise BackendError(f"malformed response: {exc}") from exc
+        error = BackendError(f"HTTP {status}: {resp.text[:200]}")
         if status != 429 and status < 500:
-            raise (AuthError if status in (401, 403) else BackendUnavailable)(detail)
-        error = (RateLimited if status == 429 else BackendUnavailable)(detail)
+            raise error
         if resp.headers.get("Retry-After", "").isdecimal():
             delay = int(resp.headers["Retry-After"])
     raise error
@@ -193,9 +184,9 @@ class HttpBackend:
         self.base_url = (base_url or os.environ.get(BASE_URL_ENV, "")).rstrip("/")
         self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
         if not self.base_url:
-            raise BackendUnavailable(f"no base URL configured ({BASE_URL_ENV})")
+            raise BackendError(f"no base URL configured ({BASE_URL_ENV})")
         if not self.api_key:
-            raise AuthError(f"no API key configured ({API_KEY_ENV})")
+            raise BackendError(f"no API key configured ({API_KEY_ENV})")
         self.legacy_completions = legacy_completions
 
     def generate(self, prompt_text, params):
@@ -221,9 +212,9 @@ class HttpBackend:
             else:
                 text = payload["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
-            raise BackendUnavailable(f"malformed response: {exc}") from exc
+            raise BackendError(f"malformed response: {exc}") from exc
         if not isinstance(text, str):
-            raise BackendUnavailable(f"malformed response: completion {text!r}")
+            raise BackendError(f"malformed response: completion {text!r}")
         return text
 
 
@@ -256,7 +247,7 @@ class ResponseCache:
                 if line.strip():
                     try:
                         record = decode(line, _record_from_json, self.path, lineno)
-                    except ParseError:
+                    except DataError:
                         bad.append(line)
                         continue
                     self._records[record.digest] = record
@@ -347,7 +338,7 @@ def make_backend(name, test_corpus=None, base_url=None, api_key=None,
         return MockEchoBackend()
     if name == "mock-first-reference":
         if test_corpus is None:
-            raise BackendUnavailable("mock-first-reference needs a test corpus")
+            raise BackendError("mock-first-reference needs a test corpus")
         return MockFirstReferenceBackend.for_corpus(test_corpus)
     if name == "http":
         return HttpBackend(base_url, api_key, legacy_completions)

@@ -15,14 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    EmptyCorpus,
-    EmptyEmbedding,
-    EmptySentence,
-    LengthMismatch,
-    NoReferences,
-)
+from .errors import DataError
 
 MAX_ORDER = 4  # SARI and BLEU both score n-gram orders 1..4
 
@@ -48,7 +41,7 @@ def compression_ratio(source, simple):
     """Characters in the complex sentence divided by characters in the simple
     one, counted on the raw strings."""
     if not source.raw or not simple.raw:
-        raise EmptySentence("compression ratio needs non-empty sentences")
+        raise DataError("compression ratio needs non-empty sentences")
     return len(source.raw) / len(simple.raw)
 
 
@@ -62,9 +55,9 @@ def bertscore_precision(candidate_embeddings, reference_embeddings):
     cand = np.asarray(candidate_embeddings, dtype=float)
     ref = np.asarray(reference_embeddings, dtype=float)
     if cand.size == 0 or ref.size == 0:
-        raise EmptyEmbedding("empty embedding matrix")
+        raise DataError("empty embedding matrix")
     if cand.shape[1] != ref.shape[1]:
-        raise DimensionMismatch(f"{cand.shape[1]} vs {ref.shape[1]}")
+        raise DataError(f"{cand.shape[1]} vs {ref.shape[1]}")
     sims = cand @ ref.T
     return float(sims.max(axis=1).mean())
 
@@ -176,7 +169,7 @@ def sari_sentence(source, prediction, references):
     """Sentence-level SARI on the 0-100 scale, against a list of references
     or their ReferenceCounts."""
     if not references:
-        raise NoReferences("SARI needs at least one reference")
+        raise DataError("SARI needs at least one reference")
     if not isinstance(references, ReferenceCounts):
         references = ReferenceCounts(source, references)
     total = 0.0
@@ -196,11 +189,11 @@ def bleu_corpus(predictions, reference_lists):
     *reference_lists* is a list of Sentences or their ReferenceCounts.
     """
     if len(predictions) != len(reference_lists):
-        raise LengthMismatch(
+        raise DataError(
             f"{len(predictions)} predictions, {len(reference_lists)} reference lists"
         )
     if not predictions:
-        raise EmptyCorpus("cannot score an empty corpus")
+        raise DataError("cannot score an empty corpus")
 
     matches = [0] * MAX_ORDER
     totals = [0] * MAX_ORDER
@@ -208,7 +201,7 @@ def bleu_corpus(predictions, reference_lists):
     ref_len = 0
     for pred, table in zip(predictions, reference_lists):
         if not table:
-            raise NoReferences("BLEU needs at least one reference per sentence")
+            raise DataError("BLEU needs at least one reference per sentence")
         if not isinstance(table, ReferenceCounts):
             table = ReferenceCounts(None, table)
         pred_len += len(pred.tokens)

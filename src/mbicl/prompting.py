@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .corpus import Sentence
-from .errors import EmptyCompletion, TemplateSlotMissing
+from .errors import DataError
 
 COMPLEX_MARKER = "Complex sentence:"
 SIMPLE_MARKER = "Simple sentence:"
@@ -30,9 +30,9 @@ class PromptTemplate:
     def __post_init__(self):
         for slot in ("{c}", "{r}"):
             if self.example_format.count(slot) != 1:
-                raise TemplateSlotMissing(f"template is missing slot {slot}")
+                raise DataError(f"template is missing slot {slot}")
         if self.query_format.count("{c}") != 1:
-            raise TemplateSlotMissing("template is missing slot {c}")
+            raise DataError("template is missing slot {c}")
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ def load_template(path):
     by lines containing only ``---``. The separator stays at its default."""
     sections = Path(path).read_text(encoding="utf-8").split("\n---\n")
     if len(sections) != 3:
-        raise TemplateSlotMissing(
+        raise DataError(
             f"{path}: expected 3 sections separated by --- lines, found {len(sections)}"
         )
     instruction, example_format, query_format = (s.strip("\n") for s in sections)
@@ -91,4 +91,4 @@ def parse_completion(raw_model_output):
         paragraph = " ".join(paragraph.split())
         if paragraph:
             return Sentence.from_raw(paragraph)
-    raise EmptyCompletion("model returned no usable text")
+    raise DataError("model returned no usable text")

@@ -15,12 +15,7 @@ from pathlib import Path
 
 from . import embeddings as emb
 from .corpus import Sentence, decode, read_jsonl
-from .errors import (
-    EmbeddingBackendMissing,
-    EmptyCorpus,
-    SariNeedsMultipleReferences,
-    UsageError,
-)
+from .errors import DataError, UsageError
 from .metrics import (
     Metric, ReferenceCounts, bertscore_precision, compression_ratio, sari_sentence
 )
@@ -64,6 +59,14 @@ class ExampleSet:
         return len(self.pairs)
 
 
+def member(enum, value):
+    """The member of *enum* with *value*; an unknown value is a UsageError."""
+    try:
+        return enum(value)
+    except ValueError:
+        raise UsageError(f"unknown {enum.__name__.lower()} {value!r}") from None
+
+
 def _candidate_pairs(corpus):
     for inst in corpus:
         for j, ref in enumerate(inst.references):
@@ -81,13 +84,13 @@ def score_pairs(corpus, metric, embedding_backend=None):
     Output is in canonical order: corpus instance order, then reference
     index, so parallel scoring would be unobservable.
     """
-    metric = Metric(metric)
+    metric = member(Metric, metric)
     if len(corpus) == 0:
-        raise EmptyCorpus("cannot score an empty corpus")
+        raise DataError("cannot score an empty corpus")
     if metric is Metric.BERTPREC and embedding_backend is None:
-        raise EmbeddingBackendMissing("BERTScore precision needs --embeddings")
+        raise UsageError("BERTScore precision needs --embeddings")
     if metric is Metric.SARI and all(inst.n_references < 2 for inst in corpus):
-        raise SariNeedsMultipleReferences(
+        raise DataError(
             "leave-one-out SARI scoring needs instances with at least 2 references"
         )
 
@@ -128,16 +131,16 @@ def select_top_k(pairs, k):
     """The k best-scoring pairs, ties broken by (score desc, id asc, ref asc)."""
     if k < 1:
         raise UsageError("k must be >= 1")
+    if not pairs:
+        raise DataError("no candidate pairs to select from")
     ranked = sorted(pairs, key=_rank_key)
     if k > len(ranked):
         log.warning("k=%d exceeds candidate pool of %d; returning all", k, len(ranked))
-    chosen = tuple(ranked[:k])
-    method = chosen[0].metric if chosen else "unknown"
     return ExampleSet(
-        pairs=chosen,
+        pairs=tuple(ranked[:k]),
         k=k,
         ordering=Ordering.HIGH_TO_LOW.value,
-        selection_method=method,
+        selection_method=ranked[0].metric,
     )
 
 
@@ -148,7 +151,7 @@ def order_examples(example_set, ordering, seed=None):
     Mersenne Twister; same seed, same order, within this implementation. Only
     a random ordering records *seed*; the others keep the set's own seed.
     """
-    ordering = Ordering(ordering)
+    ordering = member(Ordering, ordering)
     pairs = list(example_set.pairs)
     if ordering is Ordering.HIGH_TO_LOW:
         pairs.sort(key=_rank_key)
@@ -172,6 +175,8 @@ def random_select(corpus, k, seed):
     population = [
         _pair(inst, j, "random", None) for inst, j, _ in _candidate_pairs(corpus)
     ]
+    if not population:
+        raise DataError("no candidate pairs to select from")
     if k > len(population):
         log.warning("k=%d exceeds population of %d; taking all", k, len(population))
         k = len(population)
@@ -190,7 +195,7 @@ def kate_select(dev, queries, k, embedding_backend):
     whose complex-sentence embedding is most similar to the query's, most
     similar first. Each dev source and each query is embedded once."""
     if embedding_backend is None:
-        raise EmbeddingBackendMissing("similarity retrieval needs --embeddings")
+        raise UsageError("similarity retrieval needs --embeddings")
     ranked, dev_vecs = [], None
     for query in queries:
         query_vec = emb.embed_sentence(query, embedding_backend)

@@ -10,12 +10,7 @@ per-call counting as the reference for exact-equality tests.
 import math
 from collections import Counter
 
-from mbicl.errors import (
-    EmptyCorpus,
-    LengthMismatch,
-    NoReferences,
-    UsageError,
-)
+from mbicl.errors import DataError, UsageError
 
 
 def ngrams(tokens, n):
@@ -202,7 +197,7 @@ def _naive_sari_operation_scores(src_counts, pred_counts, ref_counts, n_refs):
 def naive_sari_sentence(source, prediction, references):
     """Sentence-level SARI on the 0-100 scale."""
     if not references:
-        raise NoReferences("SARI needs at least one reference")
+        raise DataError("SARI needs at least one reference")
     n_refs = len(references)
     total = 0.0
     for order in range(1, SARI_MAX_ORDER + 1):
@@ -226,11 +221,11 @@ def naive_bleu_corpus(predictions, reference_lists, max_order=4):
     (ties resolved toward the shorter reference), no smoothing.
     """
     if len(predictions) != len(reference_lists):
-        raise LengthMismatch(
+        raise DataError(
             f"{len(predictions)} predictions, {len(reference_lists)} reference lists"
         )
     if not predictions:
-        raise EmptyCorpus("cannot score an empty corpus")
+        raise DataError("cannot score an empty corpus")
     if max_order < 1:
         raise UsageError("BLEU order must be >= 1")
 
@@ -240,7 +235,7 @@ def naive_bleu_corpus(predictions, reference_lists, max_order=4):
     ref_len = 0
     for pred, refs in zip(predictions, reference_lists):
         if not refs:
-            raise NoReferences("BLEU needs at least one reference per sentence")
+            raise DataError("BLEU needs at least one reference per sentence")
         pred_len += len(pred.tokens)
         ref_len += min(
             (len(r.tokens) for r in refs),

@@ -28,7 +28,7 @@ from mbicl import (
     score_pairs,
     select_top_k,
 )
-from mbicl.errors import SariNeedsMultipleReferences
+from mbicl.errors import DataError
 from mbicl.llm import MockEchoBackend
 from oracles import sari_oracle
 from test_selection import make_pair
@@ -187,7 +187,7 @@ def test_criterion_6_leave_one_out(monkeypatch):
         assert seen == [2, 2, 2]
 
         single = make_corpus([("0", "A cat sat.", ["A cat."])])
-        with pytest.raises(SariNeedsMultipleReferences):
+        with pytest.raises(DataError, match="SARI scoring needs instances with"):
             score_pairs(single, "sari")
 
 

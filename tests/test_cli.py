@@ -7,7 +7,7 @@ import pytest
 from conftest import FIXTURES, http_reply
 from mbicl.cli import cli, main
 from mbicl.corpus import save_jsonl
-from mbicl.errors import MbiclError
+from mbicl.errors import BackendError, DataError, MbiclError, UsageError
 from mbicl.selection import load_example_set
 
 
@@ -388,7 +388,12 @@ DATA_FAULTS = {
         {"dev.jsonl": GOOD_INSTANCE, "emb.jsonl": GOOD_VECTOR},
         ["score", "{d}/dev.jsonl", "--metric", "bertprec",
          "--embeddings", "file:{d}/emb.jsonl", "-o", "{d}/s.jsonl"],
-        "no embedding for token 'cat'",
+        "{d}/emb.jsonl: no embedding for token 'cat' in sentence 'a cat sat .'",
+    ),
+    "select-from-no-pairs": (
+        {"empty.jsonl": ""},
+        ["select", "{d}/empty.jsonl", "--k", "2", "-o", "{d}/set.json"],
+        "no candidate pairs to select from",
     ),
     "example-format-without-r": (
         {"t.txt": SECTIONS.replace(" Simple: {r}", "")},
@@ -425,10 +430,12 @@ def _subclasses(cls):
 
 
 def test_every_error_class_has_a_family_exit_code():
-    classes = list(_subclasses(MbiclError))
-    assert len(classes) > 20
-    for cls in classes:
-        assert cls.exit_code in (1, 2, 3), cls
+    # the package raises only the three families; the message names the fault
+    assert {cls: (cls.exit_code, cls.label) for cls in _subclasses(MbiclError)} == {
+        UsageError: (1, "error"),
+        DataError: (2, "data error"),
+        BackendError: (3, "backend error"),
+    }
 
 
 def test_select_rejects_a_non_numeric_score(corpus_file, tmp_path, capsys):
@@ -610,6 +617,40 @@ def test_mock_backend_needs_the_default_markers(backend, corpus_file, tmp_path, 
         "backend error: 10 of 10 completions failed; first, instance 0: "
         "mock backend: the prompt has no 'Complex sentence:' marker\n"
     )
+
+
+# case: (tune corpus, grid arguments, the cells with no pair to select)
+NO_CANDIDATE_PAIRS = {
+    # every reference restates its source, so bertprec drops every pair
+    "bertprec-duplicates": (
+        '{"id": "0", "source": "A big cat sat.", "references": ["A big cat sat."]}\n'
+        '{"id": "1", "source": "A dog ran far.", "references": ["A dog ran far."]}\n',
+        ("--method", "bertprec", "--embeddings", "test"),
+        ["bertprec-k1-high-to-low", "bertprec-k2-high-to-low"],
+    ),
+    "random-empty-tune": (
+        "", ("--method", "random", "--seed", "0"),
+        ["random-k1-high-to-low-seed0", "random-k2-high-to-low-seed0"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(NO_CANDIDATE_PAIRS))
+def test_grid_cell_with_no_candidate_pairs_fails(case, tmp_path, capsys):
+    text, args, cells = NO_CANDIDATE_PAIRS[case]
+    tune = tmp_path / "tune.jsonl"
+    tune.write_text(text)
+    out_dir = tmp_path / "g"
+    code, _, err = run_cli(
+        capsys, "grid", "--tune", tune, "--test", FIXTURES / "echo_corpus.jsonl",
+        *args, "--k-list", "0,1,2", "--out-dir", out_dir,
+    )
+    assert code == 2
+    assert err.splitlines() == [
+        *(f"cell {cell} failed: no candidate pairs to select from" for cell in cells),
+        "data error: no candidate pairs to select from",
+    ]
+    assert {p.name for p in out_dir.iterdir()} == {f"{args[1]}-k0.json", "grid.csv"}
 
 
 def test_grid_emits_reports_and_csv(corpus_file, tmp_path, capsys):

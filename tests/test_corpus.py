@@ -4,15 +4,7 @@ import pytest
 
 from mbicl import load_jsonl, load_parallel, tokenize
 from mbicl.corpus import save_jsonl
-from mbicl.errors import (
-    DataError,
-    DuplicateId,
-    EmptyLine,
-    EmptyReferences,
-    LineCountMismatch,
-    MissingFile,
-    ParseError,
-)
+from mbicl.errors import DataError
 
 
 def write(path, text):
@@ -60,20 +52,20 @@ def test_load_parallel_line_count_mismatch(tmp_path):
         tmp_path, ["A big cat.", "A small dog."],
         [["A cat.", "A dog."], ["Big cat.", "Small dog.", "Extra."]],
     )
-    with pytest.raises(LineCountMismatch):
+    with pytest.raises(DataError, match="ref.1.txt: expected 2 lines, got 3"):
         load_parallel(d)
 
 
 def test_load_parallel_missing_complex(tmp_path):
     write(tmp_path / "ref.0.txt", "A cat.\n")
-    with pytest.raises(MissingFile):
+    with pytest.raises(DataError, match="complex.txt not found"):
         load_parallel(tmp_path)
 
 
 def test_load_parallel_empty_line(tmp_path):
     write(tmp_path / "complex.txt", "A big cat.\n\nAnother.\n")
     write(tmp_path / "ref.0.txt", "A cat.\nB.\nC.\n")
-    with pytest.raises(EmptyLine):
+    with pytest.raises(DataError, match="complex.txt:2: empty line"):
         load_parallel(tmp_path)
 
 
@@ -101,7 +93,7 @@ def test_load_jsonl_single(tmp_path):
 def test_load_jsonl_empty_references(tmp_path):
     p = tmp_path / "c.jsonl"
     write(p, '{"id":"0","source":"A b.","references":[]}\n')
-    with pytest.raises(EmptyReferences):
+    with pytest.raises(DataError, match="c.jsonl:1: instance '0' has no references"):
         load_jsonl(p)
 
 
@@ -112,14 +104,14 @@ def test_load_jsonl_duplicate_id(tmp_path):
         '{"id":"7","source":"A.","references":["A."]}\n'
         '{"id":"7","source":"B.","references":["B."]}\n',
     )
-    with pytest.raises(DuplicateId):
+    with pytest.raises(DataError, match="c.jsonl:2: duplicate instance id '7'"):
         load_jsonl(p)
 
 
 def test_load_jsonl_parse_error(tmp_path):
     p = tmp_path / "c.jsonl"
     write(p, "not json\n")
-    with pytest.raises(ParseError):
+    with pytest.raises(DataError, match="c.jsonl:1: Expecting value"):
         load_jsonl(p)
 
 

@@ -10,8 +10,9 @@ from mbicl import (
     run_experiment,
 )
 from mbicl import evaluation, metrics
+from mbicl import selection as sel
 from mbicl.embeddings import HashBackend, cosine, embed_sentence
-from mbicl.errors import BackendUnavailable, EmptyCompletion, LengthMismatch, UsageError
+from mbicl.errors import BackendError, DataError, UsageError
 from mbicl.evaluation import format_grid_table, write_grid_csv, write_report
 from mbicl.llm import MockEchoBackend, MockFirstReferenceBackend
 from mbicl.metrics import bleu_corpus, sari_sentence
@@ -56,7 +57,7 @@ def test_evaluate_reference_predictions_bleu_100(echo_corpus):
 
 
 def test_evaluate_length_mismatch(echo_corpus):
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(DataError, match="1 predictions for 10 instances"):
         evaluate(echo_corpus, [sent("short list.")])
 
 
@@ -193,9 +194,9 @@ def test_cell_failure_is_isolated(toy_corpus, echo_corpus):
 
 
 @pytest.mark.parametrize("missing, blank, expected, count, first", [
-    ((3, 7), (), BackendUnavailable, 2, "3: no reference for query"),
-    ((7,), (1,), BackendUnavailable, 2, "7: no reference for query"),
-    ((), (1, 4), EmptyCompletion, 2, "1: model returned no usable text"),
+    ((3, 7), (), BackendError, 2, "3: no reference for query"),
+    ((7,), (1,), BackendError, 2, "7: no reference for query"),
+    ((), (1, 4), DataError, 2, "1: model returned no usable text"),
 ], ids=["two-missing", "missing-outranks-blank", "two-blank"])
 def test_failed_cell_names_count_and_first_instance(
     toy_corpus, echo_corpus, missing, blank, expected, count, first
@@ -303,6 +304,27 @@ def test_random_cells_need_a_seed(toy_corpus, echo_corpus):
                        k_values=(1,), orderings=(ordering,))
     config = config_for(toy_corpus, echo_corpus, echo_client(), k_values=(1,))
     assert config.cells == ((1, "high-to-low", None),)
+
+
+UNKNOWN_VALUES = {
+    "metric": (lambda dev, test: sel.score_pairs(dev, "bogus"), "metric"),
+    "ordering": (
+        lambda dev, test: sel.order_examples(sel.random_select(dev, 1, 0), "bogus"),
+        "ordering",
+    ),
+    "method": (
+        lambda dev, test: config_for(dev, test, echo_client(),
+                                     selection_method="bogus", k_values=(0, 1)),
+        "selection method",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(UNKNOWN_VALUES))
+def test_unknown_metric_ordering_or_method_is_usage_error(toy_corpus, echo_corpus, case):
+    call, name = UNKNOWN_VALUES[case]
+    with pytest.raises(UsageError, match=f"^unknown {name} 'bogus'$"):
+        call(toy_corpus, echo_corpus)
 
 
 def test_report_emission(toy_corpus, echo_corpus, tmp_path):

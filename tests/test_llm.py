@@ -20,7 +20,7 @@ from mbicl import (
     ResponseCache,
     build_prompt,
 )
-from mbicl.errors import AuthError, BackendUnavailable, DataError, RateLimited
+from mbicl.errors import BackendError, DataError
 from mbicl.llm import (
     HttpBackend,
     MockEchoBackend,
@@ -259,7 +259,8 @@ def test_batch_complete_order_and_isolation(toy_corpus):
     ]
     results = client.batch_complete(prompts, PARAMS, max_in_flight=2)
     assert results[0].completion_text == toy_corpus.instances[0].references[0].raw
-    assert isinstance(results[1], BackendUnavailable)
+    assert isinstance(results[1], BackendError)
+    assert str(results[1]) == "no reference for query 'Unknown sentence entirely.'"
     assert results[2].completion_text == toy_corpus.instances[2].references[0].raw
 
 
@@ -348,7 +349,7 @@ def test_http_legacy_completions(chat_server):
 
 def test_http_auth_error(chat_server):
     _ChatHandler.status_plan = [401]
-    with pytest.raises(AuthError):
+    with pytest.raises(BackendError, match="HTTP 401"):
         http_backend(chat_server).generate("x", PARAMS)
 
 
@@ -360,22 +361,22 @@ def test_http_retries_5xx_then_succeeds(chat_server):
 
 def test_http_rate_limit_surfaces(chat_server):
     _ChatHandler.status_plan = [429, 429, 429]
-    with pytest.raises(RateLimited):
+    with pytest.raises(BackendError, match="HTTP 429"):
         http_backend(chat_server).generate("x", PARAMS)
 
 
 def test_http_unreachable():
     backend = http_backend("http://127.0.0.1:1")
-    with pytest.raises(BackendUnavailable):
+    with pytest.raises(BackendError, match="Max retries exceeded"):
         backend.generate("x", PARAMS)
 
 
 def test_http_missing_credentials(monkeypatch):
     monkeypatch.delenv("MBICL_API_KEY", raising=False)
     monkeypatch.delenv("MBICL_BASE_URL", raising=False)
-    with pytest.raises(BackendUnavailable):
+    with pytest.raises(BackendError, match="no base URL configured"):
         HttpBackend()
-    with pytest.raises(AuthError):
+    with pytest.raises(BackendError, match="no API key configured"):
         HttpBackend(base_url="http://x")
 
 
@@ -384,18 +385,18 @@ def test_http_missing_credentials(monkeypatch):
 # one 200 body that both backends accept
 OK_REPLY = {"choices": [{"message": {"content": "ok"}}], "vectors": [[3.0, 4.0]]}
 
-# name: (script, expected exception or None, requests made, sleeps taken)
+# name: (script, the BackendError's message or None, requests made, sleeps taken)
 FAULT_SCRIPTS = {
-    "401": ([http_reply(401)], AuthError, 1, []),
-    "403": ([http_reply(403)], AuthError, 1, []),
-    "429x3": ([http_reply(429)] * 3, RateLimited, 3, [1, 2]),
+    "401": ([http_reply(401)], "HTTP 401", 1, []),
+    "403": ([http_reply(403)], "HTTP 403", 1, []),
+    "429x3": ([http_reply(429)] * 3, "HTTP 429", 3, [1, 2]),
     "500-503-200": (
         [http_reply(500), http_reply(503), http_reply(200, OK_REPLY)], None, 3, [1, 2]
     ),
-    "timeout": ([requests.Timeout] * 3, BackendUnavailable, 3, [1, 2]),
-    "refused": ([requests.ConnectionError] * 3, BackendUnavailable, 3, [1, 2]),
-    "404": ([http_reply(404)], BackendUnavailable, 1, []),
-    "non-json-200": ([http_reply(200, b"<html>")], BackendUnavailable, 1, []),
+    "timeout": ([requests.Timeout] * 3, "injected Timeout", 3, [1, 2]),
+    "refused": ([requests.ConnectionError] * 3, "injected ConnectionError", 3, [1, 2]),
+    "404": ([http_reply(404)], "HTTP 404", 1, []),
+    "non-json-200": ([http_reply(200, b"<html>")], "malformed response", 1, []),
     "retry-after-7": (
         [http_reply(429, headers={"Retry-After": "7"}), http_reply(503),
          http_reply(200, OK_REPLY)],
@@ -430,7 +431,7 @@ def test_http_fault_policy_is_shared(fault, client, fake_post, http_sleeps):
     if expected is None:
         assert call() == result
     else:
-        with pytest.raises(expected):
+        with pytest.raises(BackendError, match=expected):
             call()
     assert [(u, t) for u, _, _, t in fake_post.calls] == [(url, timeout)] * n_requests
     assert http_sleeps == sleeps
@@ -445,7 +446,8 @@ def test_http_null_completion_is_not_cached(legacy, reply, fake_post, tmp_path):
     backend = HttpBackend(base_url="http://h", api_key="k", legacy_completions=legacy)
     client = CompletionClient(backend, ResponseCache(tmp_path / "cache.jsonl"))
     [result] = client.batch_complete([prompt_for("A cat.")], PARAMS)
-    assert isinstance(result, BackendUnavailable)
+    assert isinstance(result, BackendError)
+    assert str(result) == "malformed response: completion None"
     assert len(client.cache) == 0
     assert not (tmp_path / "cache.jsonl").exists()
 

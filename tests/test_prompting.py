@@ -2,7 +2,7 @@ import pytest
 
 from conftest import sent
 from mbicl import PromptTemplate, build_prompt, parse_completion, select_top_k
-from mbicl.errors import EmptyCompletion, TemplateSlotMissing
+from mbicl.errors import DataError
 from mbicl.prompting import load_template
 from test_selection import make_pair
 
@@ -59,9 +59,9 @@ def test_example_order_changes_text():
 
 
 def test_template_slot_validation():
-    with pytest.raises(TemplateSlotMissing):
+    with pytest.raises(DataError, match="template is missing slot {r}"):
         PromptTemplate(example_format="Complex: {c}")
-    with pytest.raises(TemplateSlotMissing):
+    with pytest.raises(DataError, match="template is missing slot {c}"):
         PromptTemplate(query_format="no slot")
 
 
@@ -91,9 +91,9 @@ def test_parse_completion_strips_leading_marker():
 
 
 def test_parse_completion_empty():
-    with pytest.raises(EmptyCompletion):
+    with pytest.raises(DataError, match="model returned no usable text"):
         parse_completion("")
-    with pytest.raises(EmptyCompletion):
+    with pytest.raises(DataError, match="model returned no usable text"):
         parse_completion("   \n\n  ")
 
 

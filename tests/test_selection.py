@@ -14,12 +14,7 @@ from mbicl import (
     select_top_k,
 )
 from mbicl.embeddings import HashBackend, cosine, embed_sentence, embed_tokens
-from mbicl.errors import (
-    EmbeddingBackendMissing,
-    EmptyCorpus,
-    SariNeedsMultipleReferences,
-    UsageError,
-)
+from mbicl.errors import DataError, UsageError
 from mbicl.selection import (
     DUPLICATE_SCORE,
     load_example_set,
@@ -81,7 +76,7 @@ def test_score_pairs_sari_leave_one_out(toy_corpus, monkeypatch):
 
 def test_score_pairs_sari_rejects_single_reference():
     corpus = make_corpus([("0", "A cat sat.", ["A cat."])])
-    with pytest.raises(SariNeedsMultipleReferences):
+    with pytest.raises(DataError, match="SARI scoring needs instances with"):
         score_pairs(corpus, "sari")
 
 
@@ -125,12 +120,12 @@ def test_score_pairs_bertprec_embeds_each_source_once(toy_corpus):
 
 
 def test_score_pairs_bertprec_needs_backend(toy_corpus):
-    with pytest.raises(EmbeddingBackendMissing):
+    with pytest.raises(UsageError, match="BERTScore precision needs --embeddings"):
         score_pairs(toy_corpus, "bertprec")
 
 
 def test_score_pairs_empty_corpus():
-    with pytest.raises(EmptyCorpus):
+    with pytest.raises(DataError, match="cannot score an empty corpus"):
         score_pairs(make_corpus([]), "cr")
 
 
@@ -301,7 +296,7 @@ def test_kate_select_every_query_and_k_match_brute_force():
 
 
 def test_kate_select_needs_backend(toy_corpus):
-    with pytest.raises(EmbeddingBackendMissing):
+    with pytest.raises(UsageError, match="similarity retrieval needs --embeddings"):
         kate_select(toy_corpus, [sent("A query.")], 1, None)
 
 
