@@ -199,7 +199,7 @@ def evaluate_cmd(test_path, predictions_path, output):
 
 @cli.command()
 @_with_run_options
-@click.option("--method", default="sari", type=click.Choice(evaluation.METHODS))
+@click.option("--method", default="sari", type=click.Choice(selection.METHODS))
 @click.option("--k-list", "k_values", default="1,2,4,6,8,10,15,20", callback=_int_list,
               help="comma-separated k values; 0 means zero-shot")
 @click.option("--orderings", "orderings_csv", default="high-to-low",

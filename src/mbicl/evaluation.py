@@ -10,7 +10,6 @@ against the cache.
 
 import csv
 import json
-import logging
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -20,10 +19,7 @@ from .llm import CompletionClient, GenerationParams
 from .metrics import MAX_ORDER, ReferenceCounts, bleu_corpus, sari_sentence
 from .prompting import PromptTemplate, build_prompt, parse_completion
 
-log = logging.getLogger(__name__)
-
 DEFAULT_K_GRID = (1, 2, 4, 6, 8, 10, 15, 20)
-METHODS = ("sari", "cr", "bertprec", "random", "kate", "zero-shot")
 
 
 @dataclass(frozen=True)
@@ -79,7 +75,7 @@ class ExperimentConfig:
     tune_corpus: object  # Corpus examples are selected from
     test_corpus: object  # Corpus prompts are evaluated on
     client: CompletionClient
-    selection_method: str  # one of METHODS
+    selection_method: str  # one of selection.METHODS
     k_values: tuple = DEFAULT_K_GRID
     orderings: tuple = (sel.Ordering.HIGH_TO_LOW.value,)
     seeds: tuple = ()
@@ -97,7 +93,7 @@ class ExperimentConfig:
         listed = (self.k_values, self.orderings, self.seeds)
         if any(len(set(values)) < len(values) for values in listed):
             raise UsageError("a k value, ordering or seed is listed twice")
-        if self.selection_method not in METHODS:
+        if self.selection_method not in sel.METHODS:
             raise UsageError(f"unknown selection method {self.selection_method!r}")
         if self.selection_method == "zero-shot" and set(self.k_values) != {0}:
             raise UsageError("zero-shot runs only at k 0 (--k-list 0)")
@@ -239,9 +235,7 @@ def run_experiment(config):
             chosen = _example_sets(config, scored_cache, k, ordering, seed)
             reports.append(run_cell(config, *chosen, k, ordering, seed, tables))
         except MbiclError as exc:
-            cell = cell_id(config.selection_method, k, ordering, seed)
-            log.error("cell %s failed: %s", cell, exc)
-            failures[cell] = exc
+            failures[cell_id(config.selection_method, k, ordering, seed)] = exc
     return reports, failures
 
 

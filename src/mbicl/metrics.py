@@ -65,18 +65,20 @@ def bertscore_precision(candidate_embeddings, reference_embeddings):
 class ReferenceCounts:
     """The reference side of SARI and BLEU for one instance, counted once.
 
-    Orders 1..4 hold SARI's terms: source counts, reference fractions (one
-    float object per distinct count), keep-recall terms in source-count order
-    and the number of addable n-grams. BLEU's clip maxima (an n-gram's
-    largest count in one reference) are stored only where above 1. A *source*
-    of None skips SARI.
+    For each order 1..4 it holds the references' summed n-gram counts, the
+    source's counts as g -> (count, summed count) in source order, and the
+    counts of one held-out reference, which SARI subtracts from the sums
+    (empty for a full table). BLEU's clip maxima (an n-gram's largest count
+    in one reference) are stored only where above 1. A *source* of None
+    skips SARI.
     """
 
     def __init__(self, source, references):
-        per_ref, summed = _reference_ngrams(references)
-        self._tabulate(source, summed, len(references))
+        per_ref, self.summed = _reference_ngrams(references)
+        self.source = _source_counts(source, self.summed)
+        self.n_refs, self.held_out, self.held = len(references), None, [{}] * MAX_ORDER
         self.lengths = tuple(len(r.tokens) for r in references)
-        self.clip = [{} for _ in summed]
+        self.clip = [{} for _ in self.summed]
         for counts in per_ref:
             for clip, order_counts in zip(self.clip, counts):
                 for g, c in order_counts.items():
@@ -85,30 +87,17 @@ class ReferenceCounts:
 
     @classmethod
     def leave_one_out(cls, source, references):
-        """The SARI tables of *references* with each one held out in turn: the
-        summed counts minus the held-out reference's, zeros dropped."""
+        """SARI views of *references* with each one held out in turn; they
+        share one count of the source and of every reference."""
         per_ref, summed = _reference_ngrams(references)
-        tables = [cls.__new__(cls) for _ in references]
-        for table, counts in zip(tables, per_ref):
-            rest = [dict(total) for total in summed]
-            for left, held in zip(rest, counts):
-                for g, c in held.items():
-                    if left[g] == c:
-                        del left[g]
-                    else:
-                        left[g] -= c
-            table._tabulate(source, rest, len(references) - 1)
-        return tables
-
-    def _tabulate(self, source, summed, n_refs):
-        self.n_refs = n_refs
-        fracs = {c: c / n_refs for counts in summed for c in set(counts.values())}
-        self.frac = [dict(zip(c, map(fracs.__getitem__, c.values()))) for c in summed]
-        self.sari_terms = []
-        for n, frac in enumerate(self.frac if source is not None else (), 1):
-            src = ngram_counts(source.tokens, n)
-            keep = [(g, frac[g], min(c, frac[g])) for g, c in src.items() if g in frac]
-            self.sari_terms.append((src, frac, keep, len(frac) - len(keep)))
+        source_counts, n_refs = _source_counts(source, summed), len(references) - 1
+        views = []
+        for ref, counts in zip(references, per_ref):
+            view = cls.__new__(cls)
+            view.summed, view.source, view.n_refs = summed, source_counts, n_refs
+            view.held_out, view.held = ref, counts
+            views.append(view)
+        return views
 
     def __len__(self):
         return self.n_refs
@@ -127,41 +116,45 @@ def _reference_ngrams(references):
     return per_ref, summed
 
 
-def _sari_operation_scores(pred_counts, src_counts, ref_frac, keep_terms, n_addable):
-    """Keep-F1, delete-precision, and add-F1 for one n-gram order; every
-    argument but *pred_counts* comes from the instance's ReferenceCounts."""
-    # keep: n-grams present in both source and prediction
-    kept = {
-        g: min(c, pred_counts[g]) for g, c in src_counts.items() if g in pred_counts
-    }
-    keep_p = keep_r = 0.0
-    if kept:
-        keep_p = sum(min(c, ref_frac.get(g, 0.0)) / c for g, c in kept.items()) / len(
-            kept
-        )
-    if keep_terms:
-        keep_r = sum(
-            min(kept.get(g, 0.0), frac) / c for g, frac, c in keep_terms
-        ) / len(keep_terms)
+def _source_counts(source, summed):
+    """Per order, the source's n-gram counts as g -> (count, summed count)."""
+    if source is None:
+        return []
+    return [
+        {g: (c, total.get(g, 0)) for g, c in ngram_counts(source.tokens, n).items()}
+        for n, total in enumerate(summed, 1)
+    ]
 
-    # delete: n-grams of the source absent (or less frequent) in the prediction
-    deleted = {
-        g: c - pred_counts.get(g, 0)
-        for g, c in src_counts.items()
-        if c > pred_counts.get(g, 0)
-    }
-    del_p = 0.0
-    if deleted:
-        del_p = sum(
-            max(0.0, c - ref_frac.get(g, 0.0)) / c for g, c in deleted.items()
-        ) / len(deleted)
 
+def _sari_operation_scores(pred_counts, summed, src_counts, held, n_refs):
+    """Keep-F1, delete-precision, and add-F1 for one n-gram order. A
+    reference fraction is f = (summed - held) / n_refs, and f == 0 is absent."""
+    keep_p, keep_r, delete = [], [], []
+    for g, (c, s) in src_counts.items():
+        f = (s - held.get(g, 0)) / n_refs
+        p = pred_counts.get(g, 0)
+        good = 0.0
+        if p:  # kept: in both source and prediction
+            kept = min(c, p)
+            good = min(kept, f)
+            keep_p.append(good / kept)
+        if f:
+            keep_r.append(good / min(c, f))
+        if c > p:  # deleted: absent from (or less frequent in) the prediction
+            delete.append(max(0.0, c - p - f) / (c - p))
     # add: n-gram types new in the prediction relative to the source
-    added = [g for g in pred_counts if g not in src_counts]
-    add_good = sum(g in ref_frac for g in added)
-    add_p = add_good / len(added) if added else 0.0
+    added = add_good = 0
+    for g in pred_counts:
+        if g not in src_counts:
+            added += 1
+            add_good += summed.get(g, 0) > held.get(g, 0)
+    # addable: reference n-grams left after the hold-out, less the source's
+    n_addable = len(summed) - len(keep_r) - len(held.items() & summed.items())
+    add_p = add_good / added if added else 0.0
     add_r = add_good / n_addable if n_addable else 0.0
-
+    keep_p = sum(keep_p) / len(keep_p) if keep_p else 0.0
+    keep_r = sum(keep_r) / len(keep_r) if keep_r else 0.0
+    del_p = sum(delete) / len(delete) if delete else 0.0
     return _f1(keep_p, keep_r), del_p, _f1(add_p, add_r)
 
 
@@ -173,9 +166,15 @@ def sari_sentence(source, prediction, references):
     if not isinstance(references, ReferenceCounts):
         references = ReferenceCounts(source, references)
     total = 0.0
-    for order, terms in enumerate(references.sari_terms, 1):
-        pred_counts = ngram_counts(prediction.tokens, order)
-        keep_f, del_p, add_f = _sari_operation_scores(pred_counts, *terms)
+    tables = zip(references.summed, references.source, references.held)
+    for order, (summed, src_counts, held) in enumerate(tables, 1):
+        if prediction is references.held_out:
+            pred_counts = held
+        else:
+            pred_counts = ngram_counts(prediction.tokens, order)
+        keep_f, del_p, add_f = _sari_operation_scores(
+            pred_counts, summed, src_counts, held, references.n_refs
+        )
         total += (keep_f + del_p + add_f) / 3
     return 100.0 * total / MAX_ORDER
 
@@ -206,9 +205,9 @@ def bleu_corpus(predictions, reference_lists):
             table = ReferenceCounts(None, table)
         pred_len += len(pred.tokens)
         ref_len += min(table.lengths, key=lambda rl: (abs(rl - len(pred.tokens)), rl))
-        for n, (clip, present) in enumerate(zip(table.clip, table.frac)):
+        for n, (clip, present) in enumerate(zip(table.clip, table.summed)):
             pred_counts = ngram_counts(pred.tokens, n + 1)
-            # no stored maximum: 1 with a reference fraction, else 0
+            # no stored maximum: 1 if some reference has the n-gram, else 0
             matches[n] += sum(
                 min(c, clip.get(g, g in present)) for g, c in pred_counts.items()
             )

@@ -26,6 +26,9 @@ log = logging.getLogger(__name__)
 # (the simple side restates the complex side) and dropped from selection.
 DUPLICATE_SCORE = 1.0 - 1e-9
 
+# The methods a grid or an example set may name.
+METHODS = ("sari", "cr", "bertprec", "random", "kate", "zero-shot")
+
 
 class Ordering(str, Enum):
     HIGH_TO_LOW = "high-to-low"
@@ -265,6 +268,8 @@ def save_example_set(example_set, path):
 
 
 def _example_set_from_json(obj):
+    if obj["selection_method"] not in METHODS:
+        raise DataError(f"unknown selection method {obj['selection_method']!r}")
     return ExampleSet(
         pairs=tuple(_pair_from_json(p) for p in obj["pairs"]),
         k=obj["k"],

@@ -1,9 +1,13 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import mbicl
 from conftest import FIXTURES, http_reply
 from mbicl.cli import cli, main
 from mbicl.corpus import save_jsonl
@@ -264,6 +268,21 @@ def test_malformed_example_set_is_data_error(corpus_file, tmp_path, capsys):
         "--report", tmp_path / "r",
     )
     assert code == 2
+
+
+def test_example_set_with_an_unknown_method_is_data_error(
+    corpus_file, tmp_path, capsys
+):
+    set_path = _cr_example_set(capsys, corpus_file, tmp_path)
+    obj = json.loads(set_path.read_text())
+    set_path.write_text(json.dumps({**obj, "selection_method": "bogus"}))
+    code, _, err = run_cli(
+        capsys, *_run_args(corpus_file, tmp_path), "--example-set", set_path,
+        "--report", tmp_path / "r",
+    )
+    assert code == 2
+    assert err == f"data error: {set_path}:1: unknown selection method 'bogus'\n"
+    assert not (tmp_path / "r").exists()
 
 
 GOOD_INSTANCE = (
@@ -617,6 +636,23 @@ def test_mock_backend_needs_the_default_markers(backend, corpus_file, tmp_path, 
         "backend error: 10 of 10 completions failed; first, instance 0: "
         "mock backend: the prompt has no 'Complex sentence:' marker\n"
     )
+
+
+def test_failed_cell_is_reported_once(corpus_file, tmp_path):
+    # a separate process, so that nothing but the program handles its logging
+    template = tmp_path / "t.txt"
+    template.write_text("Rewrite.\n---\nHard: {c}\nEasy: {r}\n---\nHard: {c}\nEasy:")
+    proc = subprocess.run(
+        [sys.executable, "-m", "mbicl.cli", *_run_args(corpus_file, tmp_path, "grid"),
+         "--template", template, "--method", "cr", "--k-list", "1",
+         "--out-dir", tmp_path / "g"],
+        env={**os.environ, "PYTHONPATH": str(Path(mbicl.__file__).parents[1])},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 3
+    failed = [line for line in proc.stderr.splitlines()
+              if line.startswith("cell cr-k1-high-to-low failed: ")]
+    assert len(failed) == 1
 
 
 # case: (tune corpus, grid arguments, the cells with no pair to select)

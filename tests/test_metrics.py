@@ -319,7 +319,7 @@ def test_reference_tables_equal_the_naive_path_exactly(tmp_path):
                 assert sari_sentence(inst.source, pred, table) == expected
                 assert sari_sentence(inst.source, pred, inst.references) == expected
                 saw_foreign_ngram |= any(
-                    g not in table.frac[0] and g not in table.sari_terms[0][0]
+                    g not in table.summed[0] and g not in table.source[0]
                     for g in ngram_counts(pred.tokens, 1)
                 )
         refs = [inst.references for inst in corpus]
@@ -336,10 +336,82 @@ def test_reference_tables_equal_the_naive_path_exactly(tmp_path):
 
 
 def test_leave_one_out_tables_hold_the_other_references():
+    source = sent("a b c")
     inst_refs = [sent("a b a"), sent("a c"), sent("b b")]
-    tables = ReferenceCounts.leave_one_out(sent("a b c"), inst_refs)
+    tables = ReferenceCounts.leave_one_out(source, inst_refs)
     assert [len(t) for t in tables] == [2, 2, 2]
     # "c" occurs only in reference 1, so holding it out drops the n-gram
-    assert ("c",) not in tables[1].frac[0]
-    assert tables[0].frac[0] == {("a",): 0.5, ("c",): 0.5, ("b",): 1.0}
+    predictions = [source, *inst_refs, sent("c"), sent("a b"), sent("a c d"), sent("d")]
+    for j, table in enumerate(tables):
+        rest = inst_refs[:j] + inst_refs[j + 1 :]
+        for pred in predictions:
+            got = sari_sentence(source, pred, table)
+            assert got == naive_sari_sentence(source, pred, rest)
+            expected = sari_oracle(
+                list(source.tokens), list(pred.tokens), [list(r.tokens) for r in rest]
+            )
+            assert got == pytest.approx(expected, abs=1e-12)
 
+
+@st.composite
+def loo_instance(draw):
+    """A source, 2-5 references and a prediction over a 3-5 letter alphabet.
+
+    References may repeat the source, an earlier reference, or the source
+    with its n-grams repeated more often than the source has them; the
+    prediction may hold a letter foreign to both sides."""
+    letters = "abcde"[: draw(st.integers(3, 5))]
+    words = st.lists(st.sampled_from(letters), min_size=1, max_size=8)
+    source = draw(words)
+    refs = []
+    for _ in range(draw(st.integers(2, 5))):
+        kind = draw(st.sampled_from(["free", "source", "earlier", "overcount"]))
+        if kind == "source":
+            refs.append(source)
+        elif kind == "earlier" and refs:
+            refs.append(draw(st.sampled_from(refs)))
+        elif kind == "overcount":
+            refs.append(source + source[: draw(st.integers(1, len(source)))])
+        else:
+            refs.append(draw(words))
+    foreign = draw(st.lists(st.sampled_from(letters + "z"), min_size=1, max_size=8))
+    return " ".join(source), [" ".join(r) for r in refs], " ".join(foreign)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(loo_instance(), min_size=1, max_size=3))
+def test_shared_counts_equal_the_naive_path_exactly(rows):
+    corpus = make_corpus(
+        [(str(i), source, refs) for i, (source, refs, _) in enumerate(rows)]
+    )
+    naive_loo = [
+        naive_sari_sentence(
+            inst.source, ref, inst.references[:j] + inst.references[j + 1 :]
+        )
+        for inst in corpus
+        for j, ref in enumerate(inst.references)
+    ]
+    assert [p.score for p in score_pairs(corpus, "sari")] == naive_loo
+    for inst, (_, _, foreign) in zip(corpus, rows):
+        table = ReferenceCounts(inst.source, inst.references)
+        for pred in (inst.source, inst.references[-1], sent(foreign)):
+            expected = naive_sari_sentence(inst.source, pred, inst.references)
+            assert sari_sentence(inst.source, pred, table) == expected
+
+
+def test_leave_one_out_counts_each_sentence_once(monkeypatch):
+    from mbicl import metrics
+
+    calls = []
+    real = metrics.ngram_counts
+
+    def counting(tokens, order):
+        calls.append(order)
+        return real(tokens, order)
+
+    monkeypatch.setattr(metrics, "ngram_counts", counting)
+    refs = [f"The cat number {i} sat on the mat." for i in range(10)]
+    corpus = make_corpus([("0", "The big cat sat down on the old mat.", refs)])
+    assert len(score_pairs(corpus, "sari")) == 10
+    # the source and each reference, at orders 1..4
+    assert len(calls) == (10 + 1) * 4
