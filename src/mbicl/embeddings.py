@@ -7,7 +7,7 @@ unit vector (``embed_sentence``).
 * ``HashBackend`` — deterministic pseudo-embeddings derived from a token
   hash; used for tests and offline smoke runs.
 * ``FileBackend`` — precomputed static per-token vectors from a JSONL store.
-* ``HttpBackend`` — POST /embed against any embedding server.
+* ``HttpBackend`` — POST /embed per sentence against any embedding server.
 """
 
 import hashlib
@@ -42,13 +42,14 @@ class HashBackend:
 
     Each token maps to a fixed unit vector that is a pure function of
     (token, dim, seed): sha256 output bytes are expanded into floats in
-    [-1, 1) and the row is normalized. Bit-stable across runs and
-    platforms.
+    [-1, 1) and the row is normalized, once per token. Bit-stable across
+    runs and platforms.
     """
 
     def __init__(self, dim=DEFAULT_DIM, seed=0):
         self.dim = dim
         self.seed = seed
+        self._rows = {}  # token -> unit row, filled the first time it is seen
 
     def _token_vector(self, token):
         values = []
@@ -64,7 +65,9 @@ class HashBackend:
         return values[: self.dim]
 
     def embed_tokens(self, tokens):
-        return _normalize_rows([self._token_vector(t) for t in tokens], tokens)
+        for token in set(tokens).difference(self._rows):
+            self._rows[token] = _normalize_rows([self._token_vector(token)], [token])[0]
+        return np.array([self._rows[t] for t in tokens])
 
 
 def _is_vector(value):
@@ -77,33 +80,38 @@ def _is_vector(value):
     )
 
 
-def _token_vector_from_json(obj):
-    token, vector = obj["token"], obj["vector"]
-    if not isinstance(token, str) or not _is_vector(vector):
-        raise TypeError('expected {"token": <string>, "vector": [<finite numbers>]}')
-    return token, vector
-
-
 class FileBackend:
     """Embeddings read from a JSONL store of ``{"token": ..., "vector": [...]}``
-    lines. A token missing from the store is a DataError naming the store and
-    the sentence, as its tokens.
-    """
+    lines, normalized at load into one matrix. A duplicate token or a vector
+    that cannot be normalized is a DataError naming its line, a token missing
+    from the store one naming the store and the sentence's tokens."""
 
     def __init__(self, path):
         self.path = path
-        self._by_token = dict(read_jsonl(path, _token_vector_from_json))
-        dims = {len(vec) for vec in self._by_token.values()}
+        self._index = {}  # token -> row of self._table
+
+        def unit_row(obj):
+            token, vector = obj["token"], obj["vector"]
+            if not isinstance(token, str) or not _is_vector(vector):
+                raise TypeError('expected {"token": <string>, '
+                                '"vector": [<finite numbers>]}')
+            if token in self._index:
+                raise DataError(f"duplicate token {token!r}")
+            self._index[token] = len(self._index)
+            return _normalize_rows([vector], [token])[0]
+
+        rows = read_jsonl(path, unit_row)
+        dims = {len(row) for row in rows}
         if len(dims) > 1:
             raise DataError(f"{path}: vectors of lengths {sorted(dims)}")
+        self._table = np.array(rows)
 
     def embed_tokens(self, tokens):
         try:
-            rows = [self._by_token[token] for token in tokens]
+            return self._table[[self._index[token] for token in tokens]]
         except KeyError as exc:
             raise DataError(f"{self.path}: no embedding for token {exc.args[0]!r} "
                             f"in sentence {' '.join(tokens)!r}") from exc
-        return _normalize_rows(rows, tokens)
 
 
 class HttpBackend:

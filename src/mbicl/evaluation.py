@@ -16,7 +16,7 @@ from pathlib import Path
 from . import selection as sel
 from .errors import DataError, MbiclError, UsageError
 from .llm import CompletionClient, GenerationParams
-from .metrics import MAX_ORDER, ReferenceCounts, bleu_corpus, sari_sentence
+from .metrics import MAX_ORDER, ReferenceCounts, all_ngrams, bleu_corpus, sari_sentence
 from .prompting import PromptTemplate, build_prompt, parse_completion
 
 DEFAULT_K_GRID = (1, 2, 4, 6, 8, 10, 15, 20)
@@ -45,7 +45,7 @@ def reference_tables(test_corpus):
 def evaluate(test_corpus, predictions, run_id="adhoc", manifest=None, tables=None):
     """Score *predictions* against *test_corpus* with corpus SARI (the mean
     of sentence SARI) and BLEU-4, reading the corpus's reference_tables
-    (built when *tables* is None)."""
+    (built when *tables* is None); each prediction is counted once for both."""
     if len(predictions) != len(test_corpus):
         raise DataError(
             f"{len(predictions)} predictions for {len(test_corpus)} instances"
@@ -53,12 +53,13 @@ def evaluate(test_corpus, predictions, run_id="adhoc", manifest=None, tables=Non
     if not predictions:
         raise DataError(f"test corpus {test_corpus.name!r} has no instances")
     tables = tables or reference_tables(test_corpus)
-    per_sentence = []
+    per_sentence, counts = [], []
     for inst, pred, table in zip(test_corpus, predictions, tables, strict=True):
-        score = sari_sentence(inst.source, pred, table)
+        counts.append(all_ngrams(pred.tokens))
+        score = sari_sentence(inst.source, pred, table, counts[-1])
         per_sentence.append({"id": inst.id, "sari": score})
     sari = sum(row["sari"] for row in per_sentence) / len(per_sentence)
-    bleu = bleu_corpus(predictions, tables)
+    bleu = bleu_corpus(predictions, tables, counts)
     return EvalReport(
         run_id=run_id,
         corpus_name=test_corpus.name,

@@ -33,6 +33,11 @@ def ngram_counts(tokens, order):
     return Counter(zip(*(tokens[i:] for i in range(order))))
 
 
+def all_ngrams(tokens):
+    """The ngram_counts of *tokens* for each order 1..4."""
+    return [ngram_counts(tokens, n) for n in range(1, MAX_ORDER + 1)]
+
+
 def _f1(p, r):
     return 2 * p * r / (p + r) if p + r > 0 else 0.0
 
@@ -106,9 +111,7 @@ class ReferenceCounts:
 def _reference_ngrams(references):
     """Each reference's n-gram counts for orders 1..4, and their sums over
     the references."""
-    per_ref = [
-        [ngram_counts(r.tokens, n) for n in range(1, MAX_ORDER + 1)] for r in references
-    ]
+    per_ref = [all_ngrams(r.tokens) for r in references]
     summed = [Counter() for _ in range(MAX_ORDER)]
     for counts in per_ref:
         for total, c in zip(summed, counts):
@@ -158,20 +161,19 @@ def _sari_operation_scores(pred_counts, summed, src_counts, held, n_refs):
     return _f1(keep_p, keep_r), del_p, _f1(add_p, add_r)
 
 
-def sari_sentence(source, prediction, references):
+def sari_sentence(source, prediction, references, counts=None):
     """Sentence-level SARI on the 0-100 scale, against a list of references
-    or their ReferenceCounts."""
+    or their ReferenceCounts; *counts* are the prediction's all_ngrams."""
     if not references:
         raise DataError("SARI needs at least one reference")
     if not isinstance(references, ReferenceCounts):
         references = ReferenceCounts(source, references)
+    if prediction is references.held_out:
+        counts = references.held
+    counts = counts or all_ngrams(prediction.tokens)
     total = 0.0
-    tables = zip(references.summed, references.source, references.held)
-    for order, (summed, src_counts, held) in enumerate(tables, 1):
-        if prediction is references.held_out:
-            pred_counts = held
-        else:
-            pred_counts = ngram_counts(prediction.tokens, order)
+    tables = zip(references.summed, references.source, references.held, counts)
+    for summed, src_counts, held, pred_counts in tables:
         keep_f, del_p, add_f = _sari_operation_scores(
             pred_counts, summed, src_counts, held, references.n_refs
         )
@@ -179,13 +181,14 @@ def sari_sentence(source, prediction, references):
     return 100.0 * total / MAX_ORDER
 
 
-def bleu_corpus(predictions, reference_lists):
+def bleu_corpus(predictions, reference_lists, counts=None):
     """Corpus BLEU-4 on the 0-100 scale.
 
     Multi-reference clipped n-gram precision, geometric mean over orders
     1..4, brevity penalty from the closest reference length
     (ties resolved toward the shorter reference), no smoothing. Each entry of
-    *reference_lists* is a list of Sentences or their ReferenceCounts.
+    *reference_lists* is a list of Sentences or their ReferenceCounts, and
+    of *counts* a prediction's all_ngrams (counted here when None).
     """
     if len(predictions) != len(reference_lists):
         raise DataError(
@@ -198,15 +201,16 @@ def bleu_corpus(predictions, reference_lists):
     totals = [0] * MAX_ORDER
     pred_len = 0
     ref_len = 0
-    for pred, table in zip(predictions, reference_lists):
+    counts = counts or [all_ngrams(pred.tokens) for pred in predictions]
+    for pred, table, pred_tables in zip(predictions, reference_lists, counts):
         if not table:
             raise DataError("BLEU needs at least one reference per sentence")
         if not isinstance(table, ReferenceCounts):
             table = ReferenceCounts(None, table)
         pred_len += len(pred.tokens)
         ref_len += min(table.lengths, key=lambda rl: (abs(rl - len(pred.tokens)), rl))
-        for n, (clip, present) in enumerate(zip(table.clip, table.summed)):
-            pred_counts = ngram_counts(pred.tokens, n + 1)
+        for n, pred_counts in enumerate(pred_tables):
+            clip, present = table.clip[n], table.summed[n]
             # no stored maximum: 1 if some reference has the n-gram, else 0
             matches[n] += sum(
                 min(c, clip.get(g, g in present)) for g, c in pred_counts.items()

@@ -4,12 +4,14 @@ Deliberately written as direct transcriptions of the published counting
 rules, with integer counts scaled by the number of references, so they
 share no structure with the library's fractional-count implementation.
 The naive kernels at the end are the exception: they keep the library's
-per-call counting as the reference for exact-equality tests.
+per-call counting, and its per-sentence embedding, as the reference for
+exact-equality tests.
 """
 
 import math
 from collections import Counter
 
+from mbicl.embeddings import _normalize_rows
 from mbicl.errors import DataError, UsageError
 
 
@@ -262,3 +264,18 @@ def naive_bleu_corpus(predictions, reference_lists, max_order=4):
     ) / max_order
     brevity = 1.0 if pred_len >= ref_len else math.exp(1 - ref_len / pred_len)
     return 100.0 * brevity * math.exp(log_precision)
+
+
+# -- naive static embeddings ---------------------------------------------
+# The static embedding backends as they were before they kept one table of
+# unit rows: every sentence builds its tokens' raw vectors and normalizes
+# that matrix. The table path must give the same bits.
+
+def naive_embed_tokens(vector_of, tokens):
+    """One unit row per token: *vector_of* gives a token's raw vector."""
+    return _normalize_rows([vector_of(t) for t in tokens], tokens)
+
+
+def naive_embed_sentence(vector_of, sentence):
+    pooled = naive_embed_tokens(vector_of, sentence.tokens).mean(axis=0, keepdims=True)
+    return _normalize_rows(pooled, [sentence.raw], "sentence")[0]

@@ -409,6 +409,21 @@ DATA_FAULTS = {
          "--embeddings", "file:{d}/emb.jsonl", "-o", "{d}/s.jsonl"],
         "{d}/emb.jsonl: no embedding for token 'cat' in sentence 'a cat sat .'",
     ),
+    "duplicate-embedding-token": (
+        {"dev.jsonl": GOOD_INSTANCE,
+         "emb.jsonl": GOOD_VECTOR + '{"token": "a", "vector": [0.0, 1.0]}\n'},
+        ["score", "{d}/dev.jsonl", "--metric", "bertprec",
+         "--embeddings", "file:{d}/emb.jsonl", "-o", "{d}/s.jsonl"],
+        "{d}/emb.jsonl:2: duplicate token 'a'",
+    ),
+    "unused-zero-norm-embedding": (
+        {"dev.jsonl": GOOD_INSTANCE,
+         "emb.jsonl": GOOD_VECTOR + '{"token": "zero", "vector": [0.0, 0.0]}\n'},
+        ["score", "{d}/dev.jsonl", "--metric", "bertprec",
+         "--embeddings", "file:{d}/emb.jsonl", "-o", "{d}/s.jsonl"],
+        "{d}/emb.jsonl:2: the vector of token 'zero' cannot be normalized: "
+        "its norm is 0 or underflows",
+    ),
     "select-from-no-pairs": (
         {"empty.jsonl": ""},
         ["select", "{d}/empty.jsonl", "--k", "2", "-o", "{d}/set.json"],

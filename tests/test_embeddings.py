@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import http_reply, sent
+from oracles import naive_embed_sentence, naive_embed_tokens
 from mbicl.embeddings import (
     FileBackend,
     HashBackend,
@@ -129,6 +130,67 @@ def test_zero_norm_names_the_token(tmp_path, vector):
     ))
     with pytest.raises(DataError, match="token 'tiny' .* norm is 0 or underflows"):
         embed_tokens(sent("cat tiny"), FileBackend(p))
+
+
+@pytest.mark.parametrize("vector", [[0.0, 0.0], [1e-200, 1e-200]],
+                         ids=["zero", "underflow"])
+def test_zero_norm_fails_at_load_naming_its_line(tmp_path, vector):
+    # 'tiny' fails the store even though no sentence uses it
+    p = tmp_path / "emb.jsonl"
+    p.write_text(f'{{"token": "cat", "vector": [1.0, 0.0]}}\n\n'
+                 f'{{"token": "tiny", "vector": {json.dumps(vector)}}}\n')
+    message = (f"{p}:3: the vector of token 'tiny' cannot be normalized: "
+               "its norm is 0 or underflows")
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        FileBackend(p)
+
+
+def test_duplicate_token_names_its_line(tmp_path):
+    p = tmp_path / "emb.jsonl"
+    p.write_text('{"token": "a", "vector": [1, 0]}\n{"token": "a", "vector": [0, 1]}\n')
+    with pytest.raises(DataError, match=f"^{re.escape(str(p))}:2: duplicate token 'a'$"):
+        FileBackend(p)
+
+
+def test_empty_store_names_the_missing_token(tmp_path):
+    p = tmp_path / "emb.jsonl"
+    p.write_text("\n")
+    message = f"{p}: no embedding for token 'cat' in sentence 'cat'"
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        embed_tokens(sent("cat"), FileBackend(p))
+
+
+def _generated_sentences(rng, vocab, n):
+    return [sent(" ".join(rng.choice(vocab, size=rng.integers(1, 25))))
+            for _ in range(n)]
+
+
+@pytest.mark.parametrize("dim, seed", [(32, 0), (7, 3)])
+def test_hash_table_rows_equal_the_per_sentence_path(dim, seed):
+    rng = np.random.default_rng(dim)
+    vocab = [f"w{i}" for i in range(80)] + [".", ",", "the"]
+    backend, raw = HashBackend(dim, seed), HashBackend(dim, seed)
+    for sentence in _generated_sentences(rng, vocab, 300):
+        expected = naive_embed_tokens(raw._token_vector, sentence.tokens)
+        assert np.array_equal(embed_tokens(sentence, backend), expected)
+        assert np.array_equal(embed_sentence(sentence, backend),
+                              naive_embed_sentence(raw._token_vector, sentence))
+
+
+def test_file_table_rows_equal_the_per_sentence_path(tmp_path):
+    # vectors scaled from 1e-3 to 1e3, so each row's norm differs widely
+    rng = np.random.default_rng(5)
+    vocab = [f"w{i}" for i in range(120)] + [".", ","]
+    vectors = {t: list(rng.normal(size=16) * 10.0 ** rng.uniform(-3, 3)) for t in vocab}
+    p = tmp_path / "emb.jsonl"
+    p.write_text("".join(json.dumps({"token": t, "vector": v}) + "\n"
+                         for t, v in vectors.items()))
+    backend = FileBackend(p)
+    for sentence in _generated_sentences(rng, vocab, 300):
+        expected = naive_embed_tokens(vectors.__getitem__, sentence.tokens)
+        assert np.array_equal(embed_tokens(sentence, backend), expected)
+        assert np.array_equal(embed_sentence(sentence, backend),
+                              naive_embed_sentence(vectors.__getitem__, sentence))
 
 
 def test_pooled_zero_vector_names_the_sentence():

@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import CountingBackend, CountingEmbedder, load_pins, make_corpus, sent
+from oracles import naive_bleu_corpus, naive_sari_sentence
 from mbicl import (
     CompletionClient,
     ExperimentConfig,
@@ -59,6 +60,35 @@ def test_evaluate_reference_predictions_bleu_100(echo_corpus):
 def test_evaluate_length_mismatch(echo_corpus):
     with pytest.raises(DataError, match="1 predictions for 10 instances"):
         evaluate(echo_corpus, [sent("short list.")])
+
+
+def test_evaluate_counts_each_prediction_once(echo_corpus, monkeypatch):
+    tables = evaluation.reference_tables(echo_corpus)
+    predictions = [
+        inst.source if i % 3 == 0 else inst.references[0] if i % 3 == 1
+        else sent("The sun was hidden for days .")
+        for i, inst in enumerate(echo_corpus)
+    ]
+    calls = []
+    real = metrics.ngram_counts
+
+    def counting(tokens, order):
+        calls.append(order)
+        return real(tokens, order)
+
+    monkeypatch.setattr(metrics, "ngram_counts", counting)
+    report = evaluate(echo_corpus, predictions, tables=tables)
+    monkeypatch.undo()
+    # each prediction at orders 1..4, shared by SARI and BLEU
+    assert len(calls) == 4 * len(echo_corpus)
+    expected = [
+        naive_sari_sentence(inst.source, pred, inst.references)
+        for inst, pred in zip(echo_corpus, predictions)
+    ]
+    assert [row["sari"] for row in report.per_sentence] == expected
+    assert report.sari == sum(expected) / len(expected)
+    refs = [inst.references for inst in echo_corpus]
+    assert report.bleu == naive_bleu_corpus(predictions, refs)
 
 
 def test_grid_builds_each_test_table_once(toy_corpus, echo_corpus, monkeypatch):
@@ -295,6 +325,29 @@ def test_kate_grid_matches_brute_force_and_embeds_each_sentence_once(
             expected.append(build_prompt(PromptTemplate(), examples, query).text)
     # each k runs once per ordering, with the same prompts
     assert sorted(backend.prompts) == sorted(expected * 2)
+
+
+def test_kate_and_bertprec_grids_hash_each_distinct_token_once(
+    toy_corpus, echo_corpus, monkeypatch
+):
+    calls = []
+    real = HashBackend._token_vector
+
+    def counting(self, token):
+        calls.append(token)
+        return real(self, token)
+
+    monkeypatch.setattr(HashBackend, "_token_vector", counting)
+    embedder = HashBackend()
+    for method in ("kate", "bertprec"):
+        config = config_for(toy_corpus, echo_corpus, echo_client(),
+                            selection_method=method, k_values=(1, 2),
+                            embedding_backend=embedder)
+        reports, failures = run_experiment(config)
+        assert not failures and len(reports) == 2
+    embedded = [inst.source for inst in echo_corpus]
+    embedded += [s for inst in toy_corpus for s in (inst.source, *inst.references)]
+    assert sorted(calls) == sorted({t for s in embedded for t in s.tokens})
 
 
 def test_random_cells_need_a_seed(toy_corpus, echo_corpus):
