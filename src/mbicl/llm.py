@@ -324,8 +324,6 @@ class CompletionClient:
             except BackendError as exc:
                 return exc
 
-        if max_in_flight == 1:
-            return [one(prompt) for prompt in prompts]
         with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
             return list(pool.map(one, prompts))
 

@@ -202,7 +202,8 @@ def bleu_corpus(predictions, reference_lists, counts=None):
     pred_len = 0
     ref_len = 0
     counts = counts or [all_ngrams(pred.tokens) for pred in predictions]
-    for pred, table, pred_tables in zip(predictions, reference_lists, counts):
+    for pred, table, pred_tables in zip(predictions, reference_lists, counts,
+                                        strict=True):
         if not table:
             raise DataError("BLEU needs at least one reference per sentence")
         if not isinstance(table, ReferenceCounts):

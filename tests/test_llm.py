@@ -12,7 +12,7 @@ import requests
 
 from conftest import CountingBackend, http_reply, make_corpus, sent
 import mbicl
-from mbicl import embeddings, llm
+from mbicl import embeddings
 from mbicl import (
     CompletionClient,
     GenerationParams,
@@ -274,24 +274,6 @@ def test_batch_complete_sequential():
         "Cat number 0.", "Cat number 1.", "Cat number 2."
     ]
     assert backend.calls == 3
-
-
-def test_batch_complete_with_one_worker_starts_no_thread_pool(toy_corpus, monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a thread pool was started")
-
-    monkeypatch.setattr(llm, "ThreadPoolExecutor", no_pool)
-    client = CompletionClient(MockFirstReferenceBackend.for_corpus(toy_corpus))
-    sources = [inst.source.raw for inst in toy_corpus]
-    prompts = [prompt_for(sources[2]), prompt_for("Unknown sentence entirely."),
-               prompt_for(sources[0])]
-    results = client.batch_complete(prompts, PARAMS, max_in_flight=1)
-    assert results[0].completion_text == toy_corpus.instances[2].references[0].raw
-    assert isinstance(results[1], BackendError)
-    assert str(results[1]) == "no reference for query 'Unknown sentence entirely.'"
-    assert results[2].completion_text == toy_corpus.instances[0].references[0].raw
-    with pytest.raises(AssertionError, match="thread pool"):
-        client.batch_complete(prompts, PARAMS, max_in_flight=2)
 
 
 # -- HTTP backend --------------------------------------------------------

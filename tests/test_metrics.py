@@ -20,7 +20,7 @@ from mbicl import (
 )
 from mbicl.errors import DataError
 from mbicl.corpus import read_lines
-from mbicl.metrics import ReferenceCounts, ngram_counts
+from mbicl.metrics import ReferenceCounts, all_ngrams, ngram_counts
 from oracles import bleu_oracle, naive_bleu_corpus, naive_sari_sentence, sari_oracle
 
 ROOT2 = math.sqrt(2) / 2
@@ -244,6 +244,9 @@ def test_bleu_errors():
         bleu_corpus([], [])
     with pytest.raises(DataError, match="1 predictions, 0 reference lists"):
         bleu_corpus([sent("a")], [])
+    preds = [sent("a b"), sent("c d")]
+    with pytest.raises(ValueError, match="zip"):
+        bleu_corpus(preds, [[p] for p in preds], counts=[all_ngrams(preds[0].tokens)])
 
 
 @settings(max_examples=40, deadline=None)
