@@ -12,7 +12,6 @@ from .metrics import (
     sari_sentence,
 )
 from .selection import (
-    ExampleSet,
     Ordering,
     ScoredPair,
     kate_select,
@@ -37,7 +36,6 @@ __all__ = [
     "bleu_corpus",
     "compression_ratio",
     "sari_sentence",
-    "ExampleSet",
     "Ordering",
     "ScoredPair",
     "kate_select",

@@ -6,6 +6,7 @@ Every command reads/writes plain files so outputs of one stage feed the
 next; the response cache is the only shared state.
 """
 
+import logging
 import sys
 from pathlib import Path
 
@@ -14,7 +15,7 @@ import click
 from . import embeddings as emb
 from . import evaluation, llm, selection
 from .corpus import Sentence, load_jsonl, load_parallel, read_lines
-from .errors import MbiclError
+from .errors import DataError, MbiclError
 from .llm import GenerationParams
 from .prompting import PromptTemplate, build_prompt, load_template
 
@@ -34,7 +35,7 @@ def _template(path):
 
 def _int_list(ctx, param, value):
     try:
-        return [int(v) for v in (value or "").split(",") if v.strip()]
+        return tuple(int(v) for v in (value or "").split(",") if v.strip())
     except ValueError:
         raise click.BadParameter(f"not a list of integers: {value!r}") from None
 
@@ -66,23 +67,23 @@ def score(corpus_path, metric, embeddings_spec, output):
 @click.option("--seed", type=int, default=None)
 @click.option("-o", "--output", required=True, type=click.Path())
 def select(scores_path, k, ordering, seed, output):
-    """Pick the top-k pairs from a scored-pair dump and order them."""
+    """Pick the top-k pairs from a scored-pair dump and write them, as scored
+    pairs, in prompt order."""
     pairs = selection.load_scored_pairs(scores_path)
-    chosen = selection.select_top_k(pairs, k)
-    chosen = selection.order_examples(chosen, ordering, seed)
-    selection.save_example_set(chosen, output)
-    click.echo(f"wrote example set of {len(chosen)} to {output}")
+    chosen = selection.order_examples(selection.select_top_k(pairs, k), ordering, seed)
+    selection.save_scored_pairs(chosen, output)
+    click.echo(f"wrote {len(chosen)} pairs in prompt order to {output}")
 
 
 @cli.command("build-prompt")
 @click.option("--example-set", "example_set_path", type=click.Path(exists=True),
-              default=None, help="omit for a zero-shot prompt")
+              default=None, help="pairs written by select; omit for a zero-shot prompt")
 @click.option("--query", required=True)
 @click.option("--template", "template_path", type=click.Path(exists=True), default=None)
 def build_prompt_cmd(example_set_path, query, template_path):
     """Render a prompt to stdout."""
     examples = (
-        selection.load_example_set(example_set_path) if example_set_path else None
+        selection.load_scored_pairs(example_set_path) if example_set_path else None
     )
     prompt = build_prompt(_template(template_path), examples, Sentence.from_raw(query))
     click.echo(prompt.text, nl=False)
@@ -91,19 +92,12 @@ def build_prompt_cmd(example_set_path, query, template_path):
 _run_options = [
     click.option("--tune", "tune_path", required=True, type=click.Path(exists=True)),
     click.option("--test", "test_path", required=True, type=click.Path(exists=True)),
-    click.option("--backend", "backend_name", default="mock-echo",
-                 type=click.Choice(["http", "mock-echo", "mock-first-reference"])),
     click.option("--cache", "cache_path", type=click.Path(), default=None),
-    click.option("--template", "template_path", type=click.Path(exists=True),
-                 default=None),
-    click.option("--model", default="mock"),
-    click.option("--temperature", type=float, default=0.7),
-    click.option("--max-tokens", type=int, default=256),
-    click.option("--top-p", type=float, default=1.0),
     click.option("--base-url", default=None),
     click.option("--api-key", default=None),
     click.option("--legacy-completions", is_flag=True, default=False),
     click.option("--max-in-flight", type=int, default=4),
+    click.option("--out-dir", required=True, type=click.Path()),
 ]
 
 
@@ -113,32 +107,17 @@ def _with_run_options(fn):
     return fn
 
 
-def _experiment_config(tune_path, test_path, backend_name, cache_path, template_path,
-                       model, temperature, max_tokens, top_p, base_url, api_key,
-                       legacy_completions, max_in_flight, method, k_values, orderings,
-                       seeds, embeddings_spec=None):
+def _inputs(tune_path, test_path, cache_path, base_url, api_key, legacy_completions):
+    """The tune and test corpora, and make_client(backend name)."""
     tune = _load_corpus(tune_path, split="validation")
     test = _load_corpus(test_path, split="test")
-    backend = llm.make_backend(
-        backend_name, test, base_url, api_key, legacy_completions
-    )
-    cache = llm.ResponseCache(cache_path) if cache_path else None
-    embedding_backend = emb.make_backend(embeddings_spec) if embeddings_spec else None
-    return evaluation.ExperimentConfig(
-        tune_corpus=tune,
-        test_corpus=test,
-        client=llm.CompletionClient(backend, cache),
-        selection_method=method,
-        k_values=tuple(k_values),
-        orderings=tuple(orderings),
-        seeds=tuple(seeds),
-        template=_template(template_path),
-        params=GenerationParams(
-            temperature=temperature, max_tokens=max_tokens, top_p=top_p, model_id=model
-        ),
-        embedding_backend=embedding_backend,
-        max_in_flight=max_in_flight,
-    )
+
+    def make_client(name):
+        backend = llm.make_backend(name, test, base_url, api_key, legacy_completions)
+        cache = llm.ResponseCache(cache_path) if cache_path else None
+        return llm.CompletionClient(backend, cache)
+
+    return tune, test, make_client
 
 
 def _emit(reports, failures, out_dir):
@@ -154,33 +133,25 @@ def _emit(reports, failures, out_dir):
 
 
 @cli.command()
+@click.argument("report_path", metavar="REPORT", type=click.Path(exists=True))
 @_with_run_options
-@click.option("--example-set", "example_set_path", required=True,
-              type=click.Path(exists=True), help="an example set written by select")
-@click.option("--report", "out_dir", required=True, type=click.Path())
-def run(example_set_path, out_dir, **run_kwargs):
-    """Replay one example set: prompt, complete, evaluate.
+def run(report_path, max_in_flight, out_dir, **inputs):
+    """Replay the grid cell of a report and check its bytes.
 
-    Method, k, ordering and seed come from the example set. A selecting run
-    of one cell is `grid` with one k value and one ordering.
+    The method, k, ordering, seed, selected pairs, template, parameters and
+    backend come from the report's manifest. The new report and grid.csv go
+    to --out-dir; a report that differs from the old one exits 2, naming
+    the first field that differs.
     """
-    example_set = selection.load_example_set(example_set_path)
-    method = example_set.selection_method
-    config = _experiment_config(
-        method=method, k_values=[example_set.k], orderings=[example_set.ordering],
-        seeds=[example_set.seed], **run_kwargs
-    )
-    [(k, ordering, seed)] = config.cells
-    selected_pairs = [selection.pair_ref(p) for p in example_set.pairs]
-    reports, failures = [], {}
-    try:
-        reports.append(evaluation.run_cell(
-            config, [example_set] * len(config.test_corpus), selected_pairs,
-            k, ordering, seed,
-        ))
-    except MbiclError as exc:
-        failures[evaluation.cell_id(method, k, ordering, seed)] = exc
-    _emit(reports, failures, out_dir)
+    if Path(out_dir).resolve() == Path(report_path).resolve().parent:
+        raise click.UsageError("--out-dir must not hold the report it replays")
+    tune, test, make_client = _inputs(**inputs)
+    text = Path(report_path).read_text(encoding="utf-8")
+    report = evaluation.replay(text, report_path, tune, test, make_client, max_in_flight)
+    _emit([report], {}, out_dir)
+    field = evaluation.replay_difference(text, report)
+    if field is not None:
+        raise DataError(f"{report_path}: the replayed report differs in {field}")
 
 
 @cli.command("evaluate")
@@ -199,6 +170,13 @@ def evaluate_cmd(test_path, predictions_path, output):
 
 @cli.command()
 @_with_run_options
+@click.option("--backend", "backend_name", default="mock-echo",
+              type=click.Choice(["http", "mock-echo", "mock-first-reference"]))
+@click.option("--template", "template_path", type=click.Path(exists=True), default=None)
+@click.option("--model", default="mock")
+@click.option("--temperature", type=float, default=0.7)
+@click.option("--max-tokens", type=int, default=256)
+@click.option("--top-p", type=float, default=1.0)
 @click.option("--method", default="sari", type=click.Choice(selection.METHODS))
 @click.option("--k-list", "k_values", default="1,2,4,6,8,10,15,20", callback=_int_list,
               help="comma-separated k values; 0 means zero-shot")
@@ -208,19 +186,36 @@ def evaluate_cmd(test_path, predictions_path, output):
               help="comma-separated seeds; required for random selection or ordering")
 @click.option("--embeddings", "embeddings_spec", default=None,
               help="test, file:<path>, or http:<url>; for bertprec and kate")
-@click.option("--out-dir", required=True, type=click.Path())
-def grid(method, k_values, orderings_csv, seeds, out_dir, **run_kwargs):
+def grid(backend_name, template_path, model, temperature, max_tokens, top_p, method,
+         k_values, orderings_csv, seeds, embeddings_spec, max_in_flight, out_dir,
+         **inputs):
     """Run a full (k x ordering[ x seed]) experiment grid."""
-    orderings = [v.strip() for v in orderings_csv.split(",") if v.strip()]
-    config = _experiment_config(
-        method=method, k_values=k_values, orderings=orderings, seeds=seeds,
-        **run_kwargs
+    orderings = tuple(v.strip() for v in orderings_csv.split(",") if v.strip())
+    tune, test, make_client = _inputs(**inputs)
+    config = evaluation.ExperimentConfig(
+        tune, test, make_client(backend_name), method, k_values, orderings, seeds,
+        template=_template(template_path),
+        params=GenerationParams(
+            temperature=temperature, max_tokens=max_tokens, top_p=top_p, model_id=model
+        ),
+        embedding_backend=emb.make_backend(embeddings_spec) if embeddings_spec else None,
+        max_in_flight=max_in_flight,
     )
     reports, failures = evaluation.run_experiment(config)
     _emit(reports, failures, out_dir)
 
 
+class _StderrHandler(logging.Handler):
+    """Prints ``warning: <message>`` to the current sys.stderr."""
+
+    def emit(self, record):
+        click.echo(f"{record.levelname.lower()}: {record.getMessage()}", err=True)
+
+
 def main(argv=None):
+    log = logging.getLogger(__package__)
+    if not log.handlers:
+        log.addHandler(_StderrHandler())
     try:
         cli.main(args=argv, standalone_mode=False)
     except click.ClickException as exc:

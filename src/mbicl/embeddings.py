@@ -82,29 +82,32 @@ def _is_vector(value):
 
 class FileBackend:
     """Embeddings read from a JSONL store of ``{"token": ..., "vector": [...]}``
-    lines, normalized at load into one matrix. A duplicate token or a vector
-    that cannot be normalized is a DataError naming its line, a token missing
-    from the store one naming the store and the sentence's tokens."""
+    lines, normalized at load into one matrix. A duplicate token, a vector
+    that cannot be normalized or one of another length than the first is a
+    DataError naming its line, a token missing from the store one naming the
+    store and the sentence's tokens."""
 
     def __init__(self, path):
         self.path = path
         self._index = {}  # token -> row of self._table
+        dim = None
 
         def unit_row(obj):
+            nonlocal dim
             token, vector = obj["token"], obj["vector"]
             if not isinstance(token, str) or not _is_vector(vector):
                 raise TypeError('expected {"token": <string>, '
                                 '"vector": [<finite numbers>]}')
             if token in self._index:
                 raise DataError(f"duplicate token {token!r}")
+            dim = len(vector) if dim is None else dim
+            if len(vector) != dim:
+                raise DataError(f"a vector of length {len(vector)}, "
+                                f"but the first vector has length {dim}")
             self._index[token] = len(self._index)
             return _normalize_rows([vector], [token])[0]
 
-        rows = read_jsonl(path, unit_row)
-        dims = {len(row) for row in rows}
-        if len(dims) > 1:
-            raise DataError(f"{path}: vectors of lengths {sorted(dims)}")
-        self._table = np.array(rows)
+        self._table = np.array(read_jsonl(path, unit_row))
 
     def embed_tokens(self, tokens):
         try:

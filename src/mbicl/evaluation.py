@@ -4,16 +4,17 @@ A grid cell is one (selection method, k, ordering[, seed]) combination:
 select and order examples on the tune corpus, build one prompt per test
 sentence, complete, parse, and score. A k 0 (zero-shot) cell has no examples
 to order, so it runs once per grid, with no ordering and no seed. Each cell
-yields one EvalReport; reports carry the full manifest needed to replay them
-against the cache.
+yields one EvalReport; its manifest records what ``replay`` needs to rerun
+the cell from the tune and test corpora, against the cache.
 """
 
 import csv
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from . import selection as sel
+from .corpus import decode
 from .errors import DataError, MbiclError, UsageError
 from .llm import CompletionClient, GenerationParams
 from .metrics import MAX_ORDER, ReferenceCounts, all_ngrams, bleu_corpus, sari_sentence
@@ -24,13 +25,15 @@ DEFAULT_K_GRID = (1, 2, 4, 6, 8, 10, 15, 20)
 
 @dataclass(frozen=True)
 class EvalReport:
+    # What the cell is and what it ran, then its scores from the finest to the
+    # corpus's: replay_difference names the first field that differs.
     run_id: str
     corpus_name: str
-    sari: float
-    bleu: float
+    manifest: dict
     bleu_order: int
     per_sentence: tuple
-    manifest: dict
+    sari: float
+    bleu: float
 
     def to_json(self):
         text = json.dumps(asdict(self), sort_keys=True, ensure_ascii=False, indent=2)
@@ -61,13 +64,8 @@ def evaluate(test_corpus, predictions, run_id="adhoc", manifest=None, tables=Non
     sari = sum(row["sari"] for row in per_sentence) / len(per_sentence)
     bleu = bleu_corpus(predictions, tables, counts)
     return EvalReport(
-        run_id=run_id,
-        corpus_name=test_corpus.name,
-        sari=sari,
-        bleu=bleu,
-        bleu_order=MAX_ORDER,
-        per_sentence=tuple(per_sentence),
-        manifest=manifest or {},
+        run_id=run_id, corpus_name=test_corpus.name, manifest=manifest or {},
+        bleu_order=MAX_ORDER, per_sentence=tuple(per_sentence), sari=sari, bleu=bleu,
     )
 
 
@@ -121,6 +119,28 @@ class ExperimentConfig:
             "bleu_order": MAX_ORDER,
         }
 
+    @classmethod
+    def from_manifest(cls, manifest, tune_corpus, test_corpus, make_client, max_in_flight):
+        """The config of the cell that *manifest* records, as base_manifest and
+        run_cell wrote it, and its run_cell arguments: the recorded pairs, read
+        from *tune_corpus*. make_client(name) makes the backend's client."""
+        method, k = manifest["selection_method"], manifest["k"]
+        ordering, seed = manifest["ordering"], manifest["seed"]
+        if method == "kate" and k != 0:
+            raise DataError("a KATE report does not record each query's pairs")
+        config = cls(
+            tune_corpus, test_corpus, make_client(manifest["backend"]), method,
+            k_values=(k,), orderings=(ordering or sel.Ordering.HIGH_TO_LOW.value,),
+            seeds=() if seed is None else (seed,), max_in_flight=max_in_flight,
+            template=PromptTemplate(**manifest["template"]),
+            params=GenerationParams(**manifest["params"]),
+        )
+        pairs = sel.pairs_from_refs(tune_corpus, manifest["selected_pairs"], method)
+        if len(pairs) != k:
+            raise DataError(f"k {k!r} but {len(pairs)} selected pairs")
+        refs = [sel.pair_ref(p) for p in pairs]
+        return config, ([pairs] * len(test_corpus), refs, *config.cells[0])
+
 
 def cell_id(method, k, ordering, seed):
     cell = f"{method}-k{k}"
@@ -145,8 +165,8 @@ def cell_seeds(method, ordering, seeds):
     return tuple(seeds)
 
 
-def _example_sets(config, scored_cache, k, ordering, seed):
-    """One ExampleSet per test instance, and the manifest's selected_pairs.
+def _examples(config, scored_cache, k, ordering, seed):
+    """One tuple of pairs per test instance, and the manifest's selected_pairs.
 
     Pairs are scored once per grid, into *scored_cache*. KATE ranks them per
     test query, and each query gets its own top k, most similar last; every
@@ -154,18 +174,17 @@ def _example_sets(config, scored_cache, k, ordering, seed):
     """
     method = config.selection_method
     if k == 0:
-        return [None] * len(config.test_corpus), []
+        return [()] * len(config.test_corpus), []
     if method == "kate":
         if method not in scored_cache:
             scored_cache[method] = sel.kate_select(
                 config.tune_corpus, [inst.source for inst in config.test_corpus],
                 max(config.k_values), config.embedding_backend)
-        example_sets = [
+        examples = [
             sel.order_examples(sel.select_top_k(pairs, k), sel.Ordering.LOW_TO_HIGH)
             for pairs in scored_cache[method]
         ]
-        tune_ids = {p.instance_id for s in example_sets for p in s.pairs}
-        return example_sets, sorted(tune_ids)
+        return examples, sorted({p.instance_id for pairs in examples for p in pairs})
     if method == "random":
         chosen = sel.random_select(config.tune_corpus, k, seed)
     else:
@@ -175,21 +194,20 @@ def _example_sets(config, scored_cache, k, ordering, seed):
             )
         chosen = sel.select_top_k(scored_cache[method], k)
     chosen = sel.order_examples(chosen, ordering, seed)
-    selected_pairs = [sel.pair_ref(p) for p in chosen.pairs]
-    return [chosen] * len(config.test_corpus), selected_pairs
+    return [chosen] * len(config.test_corpus), [sel.pair_ref(p) for p in chosen]
 
 
-def run_cell(config, example_sets, selected_pairs, k, ordering, seed, tables=None):
-    """Prompt each test instance with its ExampleSet, complete, parse, score.
+def run_cell(config, examples, selected_pairs, k, ordering, seed, tables=None):
+    """Prompt each test instance with its examples, complete, parse, score.
 
-    *example_sets* holds one ExampleSet (None at k 0) per test instance, in
-    corpus order; *tables* go to evaluate. A failed or unparsable completion
-    fails the cell, with the count of failures and the first failing instance
-    in the message.
+    *examples* holds one sequence of pairs (empty at k 0) per test instance,
+    in corpus order; *tables* go to evaluate. A failed or unparsable
+    completion fails the cell, with the count of failures and the first
+    failing instance in the message.
     """
     prompts = [
-        build_prompt(config.template, examples, inst.source)
-        for examples, inst in zip(example_sets, config.test_corpus, strict=True)
+        build_prompt(config.template, pairs, inst.source)
+        for pairs, inst in zip(examples, config.test_corpus, strict=True)
     ]
     results = config.client.batch_complete(
         prompts, config.params, max_in_flight=config.max_in_flight
@@ -233,11 +251,41 @@ def run_experiment(config):
     failures = {}
     for k, ordering, seed in config.cells:
         try:
-            chosen = _example_sets(config, scored_cache, k, ordering, seed)
+            chosen = _examples(config, scored_cache, k, ordering, seed)
             reports.append(run_cell(config, *chosen, k, ordering, seed, tables))
         except MbiclError as exc:
             failures[cell_id(config.selection_method, k, ordering, seed)] = exc
     return reports, failures
+
+
+def replay(text, path, tune_corpus, test_corpus, make_client, max_in_flight=4):
+    """Rerun the cell of the report *text*, read from *path*, from its
+    manifest; a fault in the report is a DataError naming ``path:1``."""
+    config, cell = decode(text, lambda obj: ExperimentConfig.from_manifest(
+        obj["manifest"], tune_corpus, test_corpus, make_client, max_in_flight
+    ), path)
+    return run_cell(config, *cell)
+
+
+def replay_difference(text, report):
+    """None if *report* has the bytes of the report *text*; otherwise the
+    first field that differs, in EvalReport's order, as ``per_sentence``, or
+    inside the manifest as ``manifest.params``."""
+    if report.to_json() == text:
+        return None
+    old, new = json.loads(text), json.loads(report.to_json())
+    names = [f.name for f in fields(EvalReport)] + sorted(old.keys() - new.keys())
+    name = _first_difference(old, new, names)
+    if name == "manifest":
+        old, new = old[name], new[name]
+        name += "." + _first_difference(old, new, sorted(old.keys() | new.keys()))
+    return name
+
+
+def _first_difference(old, new, names):
+    absent = object()
+    return next((n for n in names if old.get(n, absent) != new.get(n, absent)),
+                "formatting")
 
 
 # -- report emission -----------------------------------------------------

@@ -57,13 +57,12 @@ def load_template(path):
 
 
 def build_prompt(template, examples, query):
-    """Render instruction + example blocks + query block.
+    """Render instruction + one block per pair of *examples* + query block.
 
-    An empty example set gives a zero-shot prompt.
+    No examples (None or an empty sequence) gives a zero-shot prompt.
     """
     blocks = [template.instruction]
-    pairs = examples.pairs if examples is not None else ()
-    for pair in pairs:
+    for pair in examples or ():
         blocks.append(
             template.example_format.replace("{c}", pair.source.raw).replace(
                 "{r}", pair.simple.raw

@@ -9,12 +9,12 @@ here too.
 import json
 import logging
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
 from . import embeddings as emb
-from .corpus import Sentence, decode, read_jsonl
+from .corpus import Sentence, read_jsonl
 from .errors import DataError, UsageError
 from .metrics import (
     Metric, ReferenceCounts, bertscore_precision, compression_ratio, sari_sentence
@@ -26,7 +26,7 @@ log = logging.getLogger(__name__)
 # (the simple side restates the complex side) and dropped from selection.
 DUPLICATE_SCORE = 1.0 - 1e-9
 
-# The methods a grid or an example set may name.
+# The methods a grid or a report may name.
 METHODS = ("sari", "cr", "bertprec", "random", "kate", "zero-shot")
 
 
@@ -43,23 +43,11 @@ class ScoredPair:
     source: object  # Sentence
     simple: object  # Sentence
     metric: str
-    score: float | None  # None for unscored (random baseline) pairs
+    score: float | None  # None for unscored pairs: random, or read from a report
 
     @property
     def key(self):
         return (self.instance_id, self.reference_index)
-
-
-@dataclass(frozen=True)
-class ExampleSet:
-    pairs: tuple
-    k: int
-    ordering: str
-    selection_method: str
-    seed: int | None = None
-
-    def __len__(self):
-        return len(self.pairs)
 
 
 def member(enum, value):
@@ -130,32 +118,29 @@ def _rank_key(pair):
     return (-score, pair.instance_id, pair.reference_index)
 
 
-def select_top_k(pairs, k):
-    """The k best-scoring pairs, ties broken by (score desc, id asc, ref asc)."""
+def _check_k(k, pool):
     if k < 1:
         raise UsageError("k must be >= 1")
-    if not pairs:
+    if not pool:
         raise DataError("no candidate pairs to select from")
-    ranked = sorted(pairs, key=_rank_key)
-    if k > len(ranked):
-        log.warning("k=%d exceeds candidate pool of %d; returning all", k, len(ranked))
-    return ExampleSet(
-        pairs=tuple(ranked[:k]),
-        k=k,
-        ordering=Ordering.HIGH_TO_LOW.value,
-        selection_method=ranked[0].metric,
-    )
+    if k > len(pool):
+        raise DataError(f"k {k} exceeds the candidate pool of {len(pool)} pairs")
 
 
-def order_examples(example_set, ordering, seed=None):
-    """Rearrange the pairs of *example_set* per the ordering strategy.
+def select_top_k(pairs, k):
+    """The k best-scoring pairs, ties broken by (score desc, id asc, ref asc)."""
+    _check_k(k, pairs)
+    return tuple(sorted(pairs, key=_rank_key)[:k])
+
+
+def order_examples(pairs, ordering, seed=None):
+    """*pairs* rearranged per the ordering strategy, as a tuple.
 
     Random ordering uses a Fisher-Yates shuffle driven by Python's seeded
-    Mersenne Twister; same seed, same order, within this implementation. Only
-    a random ordering records *seed*; the others keep the set's own seed.
+    Mersenne Twister; same seed, same order, within this implementation.
     """
     ordering = member(Ordering, ordering)
-    pairs = list(example_set.pairs)
+    pairs = list(pairs)
     if ordering is Ordering.HIGH_TO_LOW:
         pairs.sort(key=_rank_key)
     elif ordering is Ordering.LOW_TO_HIGH:
@@ -164,33 +149,19 @@ def order_examples(example_set, ordering, seed=None):
         if seed is None:
             raise UsageError("random ordering needs a seed")
         random.Random(seed).shuffle(pairs)
-        example_set = replace(example_set, seed=seed)
-    return replace(example_set, pairs=tuple(pairs), ordering=ordering.value)
+    return tuple(pairs)
 
 
 def random_select(corpus, k, seed):
     """k distinct (complex, reference) pairs drawn uniformly without
     replacement from the whole candidate population."""
-    if k < 1:
-        raise UsageError("k must be >= 1")
     if seed is None:
         raise UsageError("random selection needs a seed")
     population = [
         _pair(inst, j, "random", None) for inst, j, _ in _candidate_pairs(corpus)
     ]
-    if not population:
-        raise DataError("no candidate pairs to select from")
-    if k > len(population):
-        log.warning("k=%d exceeds population of %d; taking all", k, len(population))
-        k = len(population)
-    chosen = random.Random(seed).sample(population, k)
-    return ExampleSet(
-        pairs=tuple(chosen),
-        k=k,
-        ordering=Ordering.RANDOM.value,
-        selection_method="random",
-        seed=seed,
-    )
+    _check_k(k, population)
+    return tuple(random.Random(seed).sample(population, k))
 
 
 def kate_select(dev, queries, k, embedding_backend):
@@ -217,14 +188,19 @@ def pair_ref(pair):
     return {"instance_id": pair.instance_id, "reference_index": pair.reference_index}
 
 
-def _pair_to_json(pair):
-    return {
-        **pair_ref(pair),
-        "source": pair.source.raw,
-        "simple": pair.simple.raw,
-        "metric": pair.metric,
-        "score": pair.score,
-    }
+def pairs_from_refs(corpus, refs, metric):
+    """The pairs of *corpus* that the pair_ref records *refs* name, in order."""
+    instances = {inst.id: inst for inst in corpus}
+    pairs = []
+    for ref in refs:
+        instance_id, j = ref["instance_id"], ref["reference_index"]
+        inst = instances.get(instance_id)
+        if inst is None:
+            raise DataError(f"instance {instance_id!r} is not in {corpus.name!r}")
+        if type(j) is not int or not 0 <= j < inst.n_references:
+            raise DataError(f"instance {instance_id!r} has no reference {j!r}")
+        pairs.append(_pair(inst, j, metric, None))
+    return tuple(pairs)
 
 
 def _pair_from_json(obj):
@@ -244,40 +220,14 @@ def _pair_from_json(obj):
 
 
 def save_scored_pairs(pairs, path):
-    """Audit dump: one JSON object per scored pair."""
+    """One JSON object per scored pair, in the order given: a scoring dump, or
+    the pairs ``select`` chose, in prompt order."""
     with Path(path).open("w", encoding="utf-8") as fh:
         for p in pairs:
-            fh.write(json.dumps(_pair_to_json(p), ensure_ascii=False) + "\n")
+            obj = {**pair_ref(p), "source": p.source.raw, "simple": p.simple.raw,
+                   "metric": p.metric, "score": p.score}
+            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
 
 
 def load_scored_pairs(path):
     return read_jsonl(path, _pair_from_json)
-
-
-def save_example_set(example_set, path):
-    obj = {
-        "k": example_set.k,
-        "ordering": example_set.ordering,
-        "selection_method": example_set.selection_method,
-        "seed": example_set.seed,
-        "pairs": [_pair_to_json(p) for p in example_set.pairs],
-    }
-    Path(path).write_text(
-        json.dumps(obj, ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
-    )
-
-
-def _example_set_from_json(obj):
-    if obj["selection_method"] not in METHODS:
-        raise DataError(f"unknown selection method {obj['selection_method']!r}")
-    return ExampleSet(
-        pairs=tuple(_pair_from_json(p) for p in obj["pairs"]),
-        k=obj["k"],
-        ordering=Ordering(obj["ordering"]).value,
-        selection_method=obj["selection_method"],
-        seed=obj.get("seed"),
-    )
-
-
-def load_example_set(path):
-    return decode(Path(path).read_text(encoding="utf-8"), _example_set_from_json, path)

@@ -161,8 +161,8 @@ def test_criterion_5_selection_determinism():
         for ordering, seed in (("high-to-low", None), ("low-to-high", None),
                                ("random", 3)):
             rearranged = order_examples(baseline, ordering, seed)
-            assert sorted(p.key for p in rearranged.pairs) == sorted(
-                p.key for p in baseline.pairs
+            assert sorted(p.key for p in rearranged) == sorted(
+                p.key for p in baseline
             )
 
 
@@ -242,16 +242,17 @@ def test_criterion_8_end_to_end_echo(toy_corpus, echo_corpus, tmp_path):
         assert time.perf_counter() - start < 2.0
 
 
-def test_criterion_9_grid_shapes(toy_corpus, echo_corpus, tmp_path):
+def test_criterion_9_grid_shapes(pin_corpus, echo_corpus, tmp_path):
     with criterion("9 grid shapes and out-of-domain provenance"):
+        # the tune corpus has 40 pairs, more than the largest k
         config, _ = _echo_config(
-            toy_corpus, echo_corpus, None, k_values=(1, 2, 4, 6, 8, 10, 15, 20)
+            pin_corpus, echo_corpus, None, k_values=(1, 2, 4, 6, 8, 10, 15, 20)
         )
         reports, failures = run_experiment(config)
         assert not failures and len(reports) == 8
 
         config, _ = _echo_config(
-            toy_corpus, echo_corpus, None,
+            pin_corpus, echo_corpus, None,
             k_values=(6, 8, 10, 15),
             orderings=("high-to-low", "low-to-high", "random"),
             seeds=(0,),

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ from conftest import FIXTURES, http_reply
 from mbicl.cli import cli, main
 from mbicl.corpus import save_jsonl
 from mbicl.errors import BackendError, DataError, MbiclError, UsageError
-from mbicl.selection import load_example_set
+from mbicl.selection import load_scored_pairs
 
 
 @pytest.fixture
@@ -64,6 +65,17 @@ def test_score_bertprec_malformed_embedding_reply_is_backend_error(
     assert "backend error: embedding server: malformed vectors" in err
 
 
+def test_score_prints_a_labelled_warning(tmp_path, capsys):
+    path = tmp_path / "dev.jsonl"
+    path.write_text(GOOD_INSTANCE.replace('["A cat sat."]', '["A cat sat.", "A cat."]')
+                    + '{"id": "1", "source": "A dog ran far.", "references": ["A dog."]}\n')
+    code, _, err = run_cli(
+        capsys, "score", path, "--metric", "sari", "-o", tmp_path / "s.jsonl"
+    )
+    assert code == 0
+    assert err == "warning: skipped 1 single-reference instance(s) for SARI scoring\n"
+
+
 def test_unknown_flag_is_usage_error(capsys):
     code, _, _ = run_cli(capsys, "score", "--nope")
     assert code == 1
@@ -72,30 +84,30 @@ def test_unknown_flag_is_usage_error(capsys):
 def test_select_roundtrip(corpus_file, tmp_path, capsys):
     scores = tmp_path / "scores.jsonl"
     run_cli(capsys, "score", corpus_file, "--metric", "cr", "-o", scores)
-    out = tmp_path / "set.json"
+    out = tmp_path / "set.jsonl"
     code, _, _ = run_cli(capsys, "select", scores, "--k", "2", "-o", out)
     assert code == 0
-    chosen = load_example_set(out)
-    assert len(chosen.pairs) == 2
-    assert chosen.ordering == "high-to-low"
+    chosen = load_scored_pairs(out)
+    assert len(chosen) == 2
+    assert chosen[0].score >= chosen[1].score
 
 
 def test_select_orderings_are_reverses(corpus_file, tmp_path, capsys):
     scores = tmp_path / "scores.jsonl"
     run_cli(capsys, "score", corpus_file, "--metric", "cr", "-o", scores)
-    hi = tmp_path / "hi.json"
-    lo = tmp_path / "lo.json"
+    hi = tmp_path / "hi.jsonl"
+    lo = tmp_path / "lo.jsonl"
     run_cli(capsys, "select", scores, "--k", "3", "--ordering", "high-to-low", "-o", hi)
     run_cli(capsys, "select", scores, "--k", "3", "--ordering", "low-to-high", "-o", lo)
-    hi_keys = [p.key for p in load_example_set(hi).pairs]
-    lo_keys = [p.key for p in load_example_set(lo).pairs]
+    hi_keys = [p.key for p in load_scored_pairs(hi)]
+    lo_keys = [p.key for p in load_scored_pairs(lo)]
     assert hi_keys == list(reversed(lo_keys))
 
 
 def test_select_random_same_seed_identical(corpus_file, tmp_path, capsys):
     scores = tmp_path / "scores.jsonl"
     run_cli(capsys, "score", corpus_file, "--metric", "cr", "-o", scores)
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     for out in (a, b):
         code, _, _ = run_cli(
             capsys, "select", scores, "--k", "3", "--ordering", "random",
@@ -110,7 +122,7 @@ def test_select_random_without_seed_is_usage_error(corpus_file, tmp_path, capsys
     run_cli(capsys, "score", corpus_file, "--metric", "cr", "-o", scores)
     code, _, _ = run_cli(
         capsys, "select", scores, "--k", "2", "--ordering", "random",
-        "-o", tmp_path / "x.json",
+        "-o", tmp_path / "x.jsonl",
     )
     assert code == 1
 
@@ -125,19 +137,21 @@ def test_build_prompt_zero_shot(capsys):
 def test_build_prompt_with_examples(corpus_file, tmp_path, capsys):
     scores = tmp_path / "scores.jsonl"
     run_cli(capsys, "score", corpus_file, "--metric", "cr", "-o", scores)
-    set_path = tmp_path / "set.json"
+    set_path = tmp_path / "set.jsonl"
     run_cli(capsys, "select", scores, "--k", "2", "-o", set_path)
     code, out, _ = run_cli(
         capsys, "build-prompt", "--example-set", set_path, "--query", "A query."
     )
     assert code == 0
     assert out.count("Complex sentence:") == 3
+    pairs = load_scored_pairs(set_path)
+    assert out.index(pairs[0].simple.raw) < out.index(pairs[1].simple.raw)
 
 
 def test_run_end_to_end_echo(corpus_file, tmp_path, capsys):
     report_dir = tmp_path / "reports"
     code, out, _ = run_cli(
-        capsys, *_run_args(corpus_file, tmp_path, "grid"), "--method", "sari",
+        capsys, *_run_args(corpus_file, tmp_path), "--method", "sari",
         "--k-list", "2", "--out-dir", report_dir,
     )
     assert code == 0
@@ -179,7 +193,7 @@ def test_run_end_to_end_echo(corpus_file, tmp_path, capsys):
 
 def test_run_warm_cache_is_identical(corpus_file, tmp_path, capsys):
     args = (
-        *_run_args(corpus_file, tmp_path, "grid"), "--method", "cr", "--k-list", "2"
+        *_run_args(corpus_file, tmp_path), "--method", "cr", "--k-list", "2"
     )
     run_cli(capsys, *args, "--out-dir", tmp_path / "r1")
     cache_after_first = (tmp_path / "cache.jsonl").read_text()
@@ -190,99 +204,178 @@ def test_run_warm_cache_is_identical(corpus_file, tmp_path, capsys):
     assert a == b
 
 
-def _cr_example_set(capsys, corpus_file, tmp_path, *select_args):
-    """A k=2 example set selected from compression-ratio scores."""
-    scores = tmp_path / "scores.jsonl"
-    run_cli(capsys, "score", corpus_file, "--metric", "cr", "-o", scores)
-    set_path = tmp_path / "set.json"
-    run_cli(capsys, "select", scores, "--k", "2", *select_args, "-o", set_path)
-    return set_path
-
-
-def _run_args(corpus_file, tmp_path, command="run"):
+def _run_args(corpus_file, tmp_path, command="grid"):
     return (
         command, "--tune", corpus_file, "--test", FIXTURES / "echo_corpus.jsonl",
-        "--backend", "mock-echo", "--cache", tmp_path / "cache.jsonl",
+        "--cache", tmp_path / "cache.jsonl",
     )
 
 
-def test_run_example_set_matches_selection(corpus_file, tmp_path, capsys):
-    set_path = _cr_example_set(capsys, corpus_file, tmp_path)
+def _cr_report(capsys, corpus_file, tmp_path):
+    """The report of a cold k=2 compression-ratio grid cell."""
     code, _, _ = run_cli(
-        capsys, *_run_args(corpus_file, tmp_path), "--example-set", set_path,
-        "--report", tmp_path / "fixed",
+        capsys, *_run_args(corpus_file, tmp_path), "--backend", "mock-echo",
+        "--method", "cr", "--k-list", "2", "--out-dir", tmp_path / "grid",
     )
     assert code == 0
-    code, _, _ = run_cli(
-        capsys, *_run_args(corpus_file, tmp_path, "grid"), "--method", "cr",
-        "--k-list", "2", "--out-dir", tmp_path / "selected",
+    return tmp_path / "grid" / "cr-k2-high-to-low.json"
+
+
+def test_run_replays_a_grid_cell_byte_for_byte(corpus_file, tmp_path, capsys):
+    report = _cr_report(capsys, corpus_file, tmp_path)
+    code, out, err = run_cli(
+        capsys, *_run_args(corpus_file, tmp_path, "run"), report,
+        "--out-dir", tmp_path / "replay",
     )
-    assert code == 0
+    assert (code, err) == (0, "")
+    assert "cr-k2-high-to-low" in out
     for name in ("cr-k2-high-to-low.json", "grid.csv"):
-        fixed = (tmp_path / "fixed" / name).read_bytes()
-        assert fixed == (tmp_path / "selected" / name).read_bytes()
+        replayed = (tmp_path / "replay" / name).read_bytes()
+        assert replayed == (tmp_path / "grid" / name).read_bytes()
 
 
-def test_run_random_example_set_cell_id(corpus_file, tmp_path, capsys):
-    set_path = _cr_example_set(
-        capsys, corpus_file, tmp_path, "--ordering", "random", "--seed", "7"
+# method: the grid arguments of its cold grid
+REPLAY_GRIDS = {
+    "sari": ("--k-list", "1,2"),
+    "cr": ("--k-list", "0,1,2", "--orderings", "high-to-low,low-to-high,random",
+           "--seed", "3,4"),
+    "random": ("--k-list", "1,2", "--seed", "3,4"),
+    "bertprec": ("--k-list", "1,2", "--embeddings", "test"),
+    "zero-shot": ("--k-list", "0"),
+}
+
+
+def test_run_replays_every_cold_grid_report(corpus_file, tmp_path, capsys):
+    for method, args in REPLAY_GRIDS.items():
+        code, _, _ = run_cli(
+            capsys, *_run_args(corpus_file, tmp_path), "--method", method, *args,
+            "--out-dir", tmp_path / "grid" / method,
+        )
+        assert code == 0
+    cache = tmp_path / "cache.jsonl"
+    lines = len(cache.read_text().splitlines())
+    reports = sorted((tmp_path / "grid").glob("*/*.json"))
+    assert len(reports) == 2 + 9 + 4 + 2 + 1
+    assert tmp_path / "grid" / "cr" / "cr-k1-random-seed4.json" in reports
+    for report in reports:
+        out_dir = tmp_path / "replay" / report.parent.name
+        code, _, err = run_cli(
+            capsys, *_run_args(corpus_file, tmp_path, "run"), report,
+            "--out-dir", out_dir,
+        )
+        assert (code, err) == (0, ""), report.name
+        assert (out_dir / report.name).read_bytes() == report.read_bytes()
+    assert len(cache.read_text().splitlines()) == lines
+
+
+def test_run_names_the_field_a_changed_test_reference_changes(
+    corpus_file, tmp_path, capsys
+):
+    report = _cr_report(capsys, corpus_file, tmp_path)
+    test = tmp_path / "changed" / "echo_corpus.jsonl"
+    test.parent.mkdir()
+    text = (FIXTURES / "echo_corpus.jsonl").read_text()
+    test.write_text(text.replace("the nervous child", "the nervous chile", 1))
+    code, _, err = run_cli(
+        capsys, "run", report, "--tune", corpus_file, "--test", test,
+        "--cache", tmp_path / "cache.jsonl", "--out-dir", tmp_path / "replay",
     )
-    report_dir = tmp_path / "r"
+    assert code == 2
+    assert err == f"data error: {report}: the replayed report differs in per_sentence\n"
+    assert (tmp_path / "replay" / report.name).read_bytes() != report.read_bytes()
+
+
+def test_run_of_a_kate_report_is_data_error(corpus_file, tmp_path, capsys):
     code, _, _ = run_cli(
-        capsys, *_run_args(corpus_file, tmp_path), "--example-set", set_path,
-        "--report", report_dir,
+        capsys, *_run_args(corpus_file, tmp_path), "--method", "kate",
+        "--embeddings", "test", "--k-list", "2", "--out-dir", tmp_path / "grid",
     )
     assert code == 0
-    report = json.loads((report_dir / "cr-k2-random-seed7.json").read_text())
-    assert report["manifest"]["seed"] == 7
+    report = tmp_path / "grid" / "kate-k2-high-to-low.json"
+    code, _, err = run_cli(
+        capsys, *_run_args(corpus_file, tmp_path, "run"), report,
+        "--out-dir", tmp_path / "replay",
+    )
+    assert code == 2
+    assert err == (f"data error: {report}:1: "
+                   "a KATE report does not record each query's pairs\n")
+    assert not (tmp_path / "replay").exists()
+
+
+def _set(path, value):
+    """A change to a report object: *value* at the dotted *path*."""
+    *parents, last = path.split(".")
+
+    def change(obj):
+        for key in parents:
+            obj = obj[int(key) if isinstance(obj, list) else key]
+        obj[last] = value
+    return change
+
+
+def _delete_k(obj):
+    del obj["manifest"]["k"]
+
+
+# case: (a change to a good report's object, or its new text; the message)
+REPORT_FAULTS = {
+    "bad-json": ("not json\n", "Expecting value"),
+    "missing-field": (_delete_k, "missing field 'k'"),
+    "unknown-method": (
+        _set("manifest.selection_method", "bogus"), "unknown selection method 'bogus'"
+    ),
+    "unknown-ordering": (_set("manifest.ordering", "bogus"), "unknown ordering 'bogus'"),
+    "bad-params": (_set("manifest.params.temperature", -1), "temperature must be >= 0"),
+    "unknown-backend": (
+        _set("manifest.backend", "bogus"), "unknown completion backend 'bogus'"
+    ),
+    "pair-not-in-tune-corpus": (
+        _set("manifest.selected_pairs.0.instance_id", "99"), "instance '99' is not in 'dev'"
+    ),
+    "reference-out-of-range": (
+        _set("manifest.selected_pairs.0.reference_index", 2),
+        "instance '0' has no reference 2",
+    ),
+    "k-without-its-pairs": (_set("manifest.k", 3), "k 3 but 2 selected pairs"),
+}
+
+
+@pytest.mark.parametrize("case", list(REPORT_FAULTS))
+def test_report_fault_is_data_error(case, corpus_file, tmp_path, capsys):
+    report = _cr_report(capsys, corpus_file, tmp_path)
+    change, message = REPORT_FAULTS[case]
+    if isinstance(change, str):
+        report.write_text(change)
+    else:
+        obj = json.loads(report.read_text())
+        change(obj)
+        report.write_text(json.dumps(obj))
+    code, _, err = run_cli(
+        capsys, *_run_args(corpus_file, tmp_path, "run"), report,
+        "--out-dir", tmp_path / "replay",
+    )
+    assert (code, err) == (2, f"data error: {report}:1: {message}\n")
+    assert not (tmp_path / "replay").exists()
 
 
 def test_malformed_example_set_is_data_error(corpus_file, tmp_path, capsys):
-    set_path = _cr_example_set(capsys, corpus_file, tmp_path)
-    obj = json.loads(set_path.read_text())
-    obj["pairs"][1]["source"] = None
-    set_path.write_text(json.dumps(obj))
-    code, _, _ = run_cli(
-        capsys, "build-prompt", "--example-set", set_path, "--query", "A query."
-    )
-    assert code == 2
-    del obj["pairs"][0]["reference_index"]
-    set_path.write_text(json.dumps(obj))
+    scores = tmp_path / "scores.jsonl"
+    run_cli(capsys, "score", corpus_file, "--metric", "cr", "-o", scores)
+    set_path = tmp_path / "set.jsonl"
+    run_cli(capsys, "select", scores, "--k", "2", "-o", set_path)
+    lines = [json.loads(line) for line in set_path.read_text().splitlines()]
+    lines[1]["source"] = None
+    set_path.write_text("".join(json.dumps(obj) + "\n" for obj in lines))
     code, _, err = run_cli(
         capsys, "build-prompt", "--example-set", set_path, "--query", "A query."
     )
-    assert code == 2 and "reference_index" in err
-
-    obj = json.loads(_cr_example_set(capsys, corpus_file, tmp_path).read_text())
-    set_path.write_text(json.dumps({**obj, "ordering": "bogus"}))
+    assert code == 2 and f"{set_path}:2: " in err
+    del lines[0]["reference_index"]
+    set_path.write_text("".join(json.dumps(obj) + "\n" for obj in lines))
     code, _, err = run_cli(
-        capsys, *_run_args(corpus_file, tmp_path), "--example-set", set_path,
-        "--report", tmp_path / "r",
+        capsys, "build-prompt", "--example-set", set_path, "--query", "A query."
     )
-    assert code == 2 and f"{set_path}:1: " in err
-    assert not (tmp_path / "r").exists()
-
-    set_path.write_text("not json\n")
-    code, _, _ = run_cli(
-        capsys, *_run_args(corpus_file, tmp_path), "--example-set", set_path,
-        "--report", tmp_path / "r",
-    )
-    assert code == 2
-
-
-def test_example_set_with_an_unknown_method_is_data_error(
-    corpus_file, tmp_path, capsys
-):
-    set_path = _cr_example_set(capsys, corpus_file, tmp_path)
-    obj = json.loads(set_path.read_text())
-    set_path.write_text(json.dumps({**obj, "selection_method": "bogus"}))
-    code, _, err = run_cli(
-        capsys, *_run_args(corpus_file, tmp_path), "--example-set", set_path,
-        "--report", tmp_path / "r",
-    )
-    assert code == 2
-    assert err == f"data error: {set_path}:1: unknown selection method 'bogus'\n"
-    assert not (tmp_path / "r").exists()
+    assert code == 2 and f"{set_path}:1: missing field 'reference_index'" in err
 
 
 GOOD_INSTANCE = (
@@ -424,9 +517,16 @@ DATA_FAULTS = {
         "{d}/emb.jsonl:2: the vector of token 'zero' cannot be normalized: "
         "its norm is 0 or underflows",
     ),
+    "vectors-of-two-lengths": (
+        {"dev.jsonl": GOOD_INSTANCE,
+         "emb.jsonl": GOOD_VECTOR + '{"token": "b", "vector": [0.0, 1.0, 0.0]}\n'},
+        ["score", "{d}/dev.jsonl", "--metric", "bertprec",
+         "--embeddings", "file:{d}/emb.jsonl", "-o", "{d}/s.jsonl"],
+        "{d}/emb.jsonl:2: a vector of length 3, but the first vector has length 2",
+    ),
     "select-from-no-pairs": (
         {"empty.jsonl": ""},
-        ["select", "{d}/empty.jsonl", "--k", "2", "-o", "{d}/set.json"],
+        ["select", "{d}/empty.jsonl", "--k", "2", "-o", "{d}/set.jsonl"],
         "no candidate pairs to select from",
     ),
     "example-format-without-r": (
@@ -479,7 +579,7 @@ def test_select_rejects_a_non_numeric_score(corpus_file, tmp_path, capsys):
     lines[1] = json.dumps({**json.loads(lines[1]), "score": "high"}) + "\n"
     scores.write_text("".join(lines))
     code, _, err = run_cli(
-        capsys, "select", scores, "--k", "2", "-o", tmp_path / "s.json"
+        capsys, "select", scores, "--k", "2", "-o", tmp_path / "s.jsonl"
     )
     assert code == 2
     assert f"{scores}:2: " in err
@@ -488,7 +588,7 @@ def test_select_rejects_a_non_numeric_score(corpus_file, tmp_path, capsys):
 def test_malformed_cache_line_is_quarantined(corpus_file, tmp_path, capsys):
     cache = tmp_path / "cache.jsonl"
     args = [
-        *_run_args(corpus_file, tmp_path, "grid"), "--method", "cr", "--k-list", "1",
+        *_run_args(corpus_file, tmp_path), "--method", "cr", "--k-list", "1",
         "--out-dir", tmp_path / "r",
     ]
     assert run_cli(capsys, *args)[0] == 0
@@ -568,7 +668,7 @@ def test_grid_needs_a_seed_only_for_random_cells(corpus_file, tmp_path, capsys):
     assert "--seed" in err
 
 
-_RUN = ("run", "--tune", "{dev}", "--test", "{test}", "--report", "{out}")
+_RUN = ("run", "--tune", "{dev}", "--test", "{test}", "--out-dir", "{out}")
 _GRID = ("grid", "--tune", "{dev}", "--test", "{test}", "--out-dir", "{out}",
          "--method", "cr", "--k-list", "1")
 
@@ -595,8 +695,18 @@ BAD_ARGUMENTS = {
     "grid random ordering without --seed": (
         "needs --seed", (*_GRID, "--orderings", "random")
     ),
-    "run without --example-set": ("Missing option '--example-set'", _RUN),
-    "run --method": ("No such option '--method'", (*_RUN, "--method", "cr")),
+    "run without --example-set": (
+        "No such option '--example-set'", (*_RUN, "--example-set", "{scores}")
+    ),
+    "run without a report": ("Missing argument 'REPORT'", _RUN),
+    "run --method": ("No such option '--method'", (*_RUN, "{scores}", "--method", "cr")),
+    "run --backend": (
+        "No such option '--backend'", (*_RUN, "{scores}", "--backend", "mock-echo")
+    ),
+    "run --out-dir of the report": (
+        "--out-dir must not hold the report it replays",
+        (*_RUN[:-1], "{scores_dir}", "{scores}"),
+    ),
     "grid --k-list ''": ("at least one k value", (*_GRID[:-1], "")),
     "grid --orderings ,": ("at least one k value and one ordering",
                            (*_GRID, "--orderings", ",")),
@@ -619,7 +729,7 @@ def test_bad_argument_is_usage_error(case, corpus_file, tmp_path, capsys):
     scores = tmp_path / "scores.jsonl"
     run_cli(capsys, "score", corpus_file, "--metric", "cr", "-o", scores)
     paths = {"dev": corpus_file, "test": FIXTURES / "echo_corpus.jsonl",
-             "scores": scores, "out": tmp_path / "out"}
+             "scores": scores, "scores_dir": tmp_path, "out": tmp_path / "out"}
     message, args = BAD_ARGUMENTS[case]
     code, _, err = run_cli(capsys, *(a.format(**paths) for a in args))
     assert code == 1
@@ -629,7 +739,7 @@ def test_bad_argument_is_usage_error(case, corpus_file, tmp_path, capsys):
 
 def test_run_whose_every_cell_fails_reports_the_cell(corpus_file, tmp_path, capsys):
     code, _, err = run_cli(
-        capsys, *_run_args(corpus_file, tmp_path, "grid"), "--method", "bertprec",
+        capsys, *_run_args(corpus_file, tmp_path), "--method", "bertprec",
         "--k-list", "2", "--out-dir", tmp_path / "fresh",
     )
     assert code == 1
@@ -642,7 +752,7 @@ def test_mock_backend_needs_the_default_markers(backend, corpus_file, tmp_path, 
     template = tmp_path / "t.txt"
     template.write_text("Rewrite.\n---\nHard: {c}\nEasy: {r}\n---\nHard: {c}\nEasy:")
     code, _, err = run_cli(
-        capsys, *_run_args(corpus_file, tmp_path, "grid"), "--backend", backend,
+        capsys, *_run_args(corpus_file, tmp_path), "--backend", backend,
         "--template", template, "--method", "cr", "--k-list", "1",
         "--out-dir", tmp_path / "g",
     )
@@ -658,7 +768,7 @@ def test_failed_cell_is_reported_once(corpus_file, tmp_path):
     template = tmp_path / "t.txt"
     template.write_text("Rewrite.\n---\nHard: {c}\nEasy: {r}\n---\nHard: {c}\nEasy:")
     proc = subprocess.run(
-        [sys.executable, "-m", "mbicl.cli", *_run_args(corpus_file, tmp_path, "grid"),
+        [sys.executable, "-m", "mbicl.cli", *_run_args(corpus_file, tmp_path),
          "--template", template, "--method", "cr", "--k-list", "1",
          "--out-dir", tmp_path / "g"],
         env={**os.environ, "PYTHONPATH": str(Path(mbicl.__file__).parents[1])},
@@ -704,6 +814,23 @@ def test_grid_cell_with_no_candidate_pairs_fails(case, tmp_path, capsys):
     assert {p.name for p in out_dir.iterdir()} == {f"{args[1]}-k0.json", "grid.csv"}
 
 
+def test_grid_cell_with_k_above_the_pool_fails(tmp_path, capsys):
+    tune = tmp_path / "tune.jsonl"
+    tune.write_text("".join((FIXTURES / "pin_corpus.jsonl").read_text().splitlines(
+        keepends=True)[:2]))
+    out_dir = tmp_path / "g"
+    code, _, err = run_cli(
+        capsys, "grid", "--tune", tune, "--test", FIXTURES / "echo_corpus.jsonl",
+        "--method", "cr", "--k-list", "4,20", "--out-dir", out_dir,
+    )
+    assert code == 2
+    assert err.splitlines() == [
+        "cell cr-k20-high-to-low failed: k 20 exceeds the candidate pool of 4 pairs",
+        "data error: k 20 exceeds the candidate pool of 4 pairs",
+    ]
+    assert {p.name for p in out_dir.iterdir()} == {"cr-k4-high-to-low.json", "grid.csv"}
+
+
 def test_grid_emits_reports_and_csv(corpus_file, tmp_path, capsys):
     out_dir = tmp_path / "g"
     code, out, _ = run_cli(
@@ -720,7 +847,7 @@ def test_grid_emits_reports_and_csv(corpus_file, tmp_path, capsys):
 def test_zero_shot_grid_writes_one_report(corpus_file, tmp_path, capsys):
     out_dir = tmp_path / "g"
     code, _, _ = run_cli(
-        capsys, *_run_args(corpus_file, tmp_path, "grid"), "--method", "zero-shot",
+        capsys, *_run_args(corpus_file, tmp_path), "--method", "zero-shot",
         "--k-list", "0", "--out-dir", out_dir,
     )
     assert code == 0
@@ -731,7 +858,7 @@ def test_zero_shot_grid_writes_one_report(corpus_file, tmp_path, capsys):
 
     # k 0 has no examples to order: one cell whatever the orderings, no --seed
     code, _, _ = run_cli(
-        capsys, *_run_args(corpus_file, tmp_path, "grid"), "--method", "zero-shot",
+        capsys, *_run_args(corpus_file, tmp_path), "--method", "zero-shot",
         "--k-list", "0", "--orderings", "random,high-to-low", "--out-dir", out_dir,
     )
     assert code == 0
@@ -739,7 +866,7 @@ def test_zero_shot_grid_writes_one_report(corpus_file, tmp_path, capsys):
     assert json.loads((out_dir / "zero-shot-k0.json").read_text()) == report
 
 
-def test_readme_commands_use_declared_flags():
+def test_readme_commands_use_declared_flags(tmp_path, monkeypatch, capsys):
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     block = re.search(r"## CLI\n\n```sh\n(.*?)```", readme, re.S)[1]
     commands = [
@@ -752,6 +879,18 @@ def test_readme_commands_use_declared_flags():
         declared = {opt for param in command.params for opt in param.opts}
         for flag in re.findall(r"(?<!\S)--[\w-]+", line):
             assert flag in declared, f"mbicl {command.name} has no {flag}: {line}"
+
+    # the documented workflows run, in order, on small corpora
+    (tmp_path / "dev.jsonl").write_text((FIXTURES / "pin_corpus.jsonl").read_text())
+    test = (FIXTURES / "echo_corpus.jsonl").read_text()
+    (tmp_path / "test.jsonl").write_text(test)
+    (tmp_path / "preds.txt").write_text(
+        "".join(json.loads(line)["source"] + "\n" for line in test.splitlines())
+    )
+    monkeypatch.chdir(tmp_path)
+    for line in commands:
+        code, _, err = run_cli(capsys, *shlex.split(line)[1:])
+        assert code == 0, f"{line}: {err}"
 
 
 def test_http_backend_missing_credentials_is_backend_error(

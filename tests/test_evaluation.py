@@ -18,7 +18,7 @@ from mbicl.evaluation import format_grid_table, write_grid_csv, write_report
 from mbicl.llm import MockEchoBackend, MockFirstReferenceBackend
 from mbicl.metrics import bleu_corpus, sari_sentence
 from mbicl.prompting import PromptTemplate, build_prompt
-from mbicl.selection import ExampleSet, ScoredPair
+from mbicl.selection import ScoredPair
 
 
 def echo_client(cache_path=None):
@@ -149,17 +149,18 @@ def test_replay_is_byte_identical_with_zero_backend_calls(
     assert [r.to_json() for r in reports_a] == [r.to_json() for r in reports_b]
 
 
-def test_grid_shape_default_k(toy_corpus, echo_corpus):
-    config = config_for(toy_corpus, echo_corpus, echo_client())
+def test_grid_shape_default_k(pin_corpus, echo_corpus):
+    # the tune corpus has 40 pairs, more than the largest k
+    config = config_for(pin_corpus, echo_corpus, echo_client())
     reports, failures = run_experiment(config)
     assert not failures
     assert len(reports) == 8
     assert [r.manifest["k"] for r in reports] == [1, 2, 4, 6, 8, 10, 15, 20]
 
 
-def test_grid_shape_ordering_study(toy_corpus, echo_corpus):
+def test_grid_shape_ordering_study(pin_corpus, echo_corpus):
     config = config_for(
-        toy_corpus,
+        pin_corpus,
         echo_corpus,
         echo_client(),
         k_values=(6, 8, 10, 15),
@@ -321,8 +322,7 @@ def test_kate_grid_matches_brute_force_and_embeds_each_sentence_once(
                 ScoredPair(i.id, 0, i.source, i.references[0], "kate", None)
                 for i in reversed(ranked[:k])
             )
-            examples = ExampleSet(pairs, k, "low-to-high", "kate")
-            expected.append(build_prompt(PromptTemplate(), examples, query).text)
+            expected.append(build_prompt(PromptTemplate(), pairs, query).text)
     # each k runs once per ordering, with the same prompts
     assert sorted(backend.prompts) == sorted(expected * 2)
 

@@ -17,9 +17,9 @@ from mbicl.embeddings import HashBackend, cosine, embed_sentence, embed_tokens
 from mbicl.errors import DataError, UsageError
 from mbicl.selection import (
     DUPLICATE_SCORE,
-    load_example_set,
     load_scored_pairs,
-    save_example_set,
+    pair_ref,
+    pairs_from_refs,
     save_scored_pairs,
 )
 
@@ -132,19 +132,20 @@ def test_score_pairs_empty_corpus():
 def test_select_top_k_basic():
     pairs = [make_pair("a", score=5), make_pair("b", score=3), make_pair("c", score=9)]
     chosen = select_top_k(pairs, 2)
-    assert [p.score for p in chosen.pairs] == [9, 5]
-    assert chosen.ordering == Ordering.HIGH_TO_LOW.value
+    assert [p.score for p in chosen] == [9, 5]
 
 
 def test_select_top_k_overflow():
     pairs = [make_pair("a"), make_pair("b")]
-    assert len(select_top_k(pairs, 10)) == 2
+    assert len(select_top_k(pairs, 2)) == 2
+    with pytest.raises(DataError, match="^k 10 exceeds the candidate pool of 2 pairs$"):
+        select_top_k(pairs, 10)
 
 
 def test_select_top_k_lexicographic_tie_break():
     pairs = [make_pair("2", score=4.0), make_pair("10", score=4.0)]
     chosen = select_top_k(pairs, 1)
-    assert chosen.pairs[0].instance_id == "10"  # "10" < "2" lexicographically
+    assert chosen[0].instance_id == "10"  # "10" < "2" lexicographically
 
 
 def test_select_top_k_permutation_invariant():
@@ -161,21 +162,20 @@ def test_order_examples_reversal():
     chosen = select_top_k([make_pair(str(i), score=i) for i in range(5)], 5)
     high = order_examples(chosen, "high-to-low")
     low = order_examples(chosen, "low-to-high")
-    assert list(low.pairs) == list(reversed(high.pairs))
-    assert high.ordering == "high-to-low"
+    assert low == high[::-1]
 
 
 def test_order_examples_random_deterministic():
     chosen = select_top_k([make_pair(str(i), score=i) for i in range(6)], 6)
     a = order_examples(chosen, "random", seed=42)
     b = order_examples(chosen, "random", seed=42)
-    assert a.pairs == b.pairs
+    assert a == b
 
 
 def test_order_examples_seeds_vary():
     chosen = select_top_k([make_pair(str(i), score=i) for i in range(6)], 6)
     orders = {
-        tuple(p.instance_id for p in order_examples(chosen, "random", seed=s).pairs)
+        tuple(p.instance_id for p in order_examples(chosen, "random", seed=s))
         for s in (1, 2, 3)
     }
     assert len(orders) >= 2
@@ -185,24 +185,14 @@ def test_order_examples_preserves_multiset():
     chosen = select_top_k([make_pair(str(i), score=i % 3) for i in range(7)], 7)
     for ordering, seed in (("high-to-low", None), ("low-to-high", None), ("random", 5)):
         rearranged = order_examples(chosen, ordering, seed)
-        assert sorted(p.key for p in rearranged.pairs) == sorted(
-            p.key for p in chosen.pairs
-        )
-
-
-def test_order_examples_records_only_a_random_seed(toy_corpus):
-    chosen = select_top_k([make_pair(str(i), score=i) for i in range(4)], 2)
-    assert order_examples(chosen, "high-to-low", seed=5).seed is None
-    assert order_examples(chosen, "random", seed=5).seed == 5
-    drawn = random_select(toy_corpus, 2, seed=3)
-    assert order_examples(drawn, "low-to-high", seed=5).seed == 3
+        assert sorted(p.key for p in rearranged) == sorted(p.key for p in chosen)
 
 
 def test_random_select_deterministic(toy_corpus):
     a = random_select(toy_corpus, 4, seed=17)
     b = random_select(toy_corpus, 4, seed=17)
-    assert a.pairs == b.pairs
-    assert all(p.score is None for p in a.pairs)
+    assert a == b
+    assert all(p.score is None for p in a)
 
 
 def test_random_select_seeds_differ():
@@ -212,7 +202,7 @@ def test_random_select_seeds_differ():
     )
     a = random_select(corpus, 6, seed=17)
     b = random_select(corpus, 6, seed=18)
-    assert {p.key for p in a.pairs} != {p.key for p in b.pairs}
+    assert {p.key for p in a} != {p.key for p in b}
 
 
 def test_random_select_needs_a_seed(toy_corpus):
@@ -223,11 +213,12 @@ def test_random_select_needs_a_seed(toy_corpus):
 def test_random_select_whole_population(toy_corpus):
     chosen = random_select(toy_corpus, 6, seed=0)
     assert len(chosen) == 6
-    assert len({p.key for p in chosen.pairs}) == 6
+    assert len({p.key for p in chosen}) == 6
 
 
 def test_random_select_caps_k(toy_corpus):
-    assert len(random_select(toy_corpus, 99, seed=0)) == 6
+    with pytest.raises(DataError, match="^k 99 exceeds the candidate pool of 6 pairs$"):
+        random_select(toy_corpus, 99, seed=0)
 
 
 def test_kate_select_exact_match(toy_corpus):
@@ -246,7 +237,7 @@ def test_kate_select_orders_most_similar_last(toy_corpus):
     assert sims == sorted(sims, reverse=True)  # ranked, most similar first
     # a KATE cell prompts with its top k the other way round
     chosen = order_examples(select_top_k(ranked, 3), Ordering.LOW_TO_HIGH)
-    sims = [p.score for p in chosen.pairs]
+    sims = [p.score for p in chosen]
     assert sims == sorted(sims)  # ascending, nearest adjacent to the query
 
 
@@ -289,7 +280,7 @@ def test_kate_select_every_query_and_k_match_brute_force():
             (-cosine(embed_sentence(inst.source, backend), qv), inst.id) for inst in dev
         )
         for k in range(1, 6):
-            top = select_top_k(pairs, k).pairs
+            top = select_top_k(pairs, k)
             assert [(-p.score, p.instance_id) for p in top] == brute[:k]
             assert all(p.reference_index == 0 for p in top)
     assert [p.instance_id for p in ranked[0][:2]] == ["c", "f"]
@@ -310,12 +301,17 @@ def test_scored_pair_round_trip(tmp_path, toy_corpus):
     ]
 
 
-def test_example_set_round_trip(tmp_path, toy_corpus):
-    chosen = select_top_k(score_pairs(toy_corpus, "cr"), 3)
-    chosen = order_examples(chosen, "random", seed=9)
-    p = tmp_path / "set.json"
-    save_example_set(chosen, p)
-    reloaded = load_example_set(p)
-    assert [r.key for r in reloaded.pairs] == [r.key for r in chosen.pairs]
-    assert reloaded.ordering == chosen.ordering
-    assert reloaded.seed == 9
+def test_pair_refs_name_the_pairs_of_the_tune_corpus(toy_corpus):
+    chosen = order_examples(select_top_k(score_pairs(toy_corpus, "cr"), 3), "random", 9)
+    rebuilt = pairs_from_refs(toy_corpus, [pair_ref(p) for p in chosen], "cr")
+    assert [(p.key, p.source, p.simple) for p in rebuilt] == [
+        (p.key, p.source, p.simple) for p in chosen
+    ]
+    for ref, message in (
+        ({"instance_id": "9", "reference_index": 0}, "instance '9' is not in 'toy'"),
+        ({"instance_id": "0", "reference_index": 2}, "instance '0' has no reference 2"),
+        ({"instance_id": "0", "reference_index": True},
+         "instance '0' has no reference True"),
+    ):
+        with pytest.raises(DataError, match=f"^{message}$"):
+            pairs_from_refs(toy_corpus, [ref], "cr")
