@@ -171,7 +171,7 @@ def evaluate_cmd(test_path, predictions_path, output):
 @cli.command()
 @_with_run_options
 @click.option("--backend", "backend_name", default="mock-echo",
-              type=click.Choice(["http", "mock-echo", "mock-first-reference"]))
+              type=click.Choice(llm.BACKENDS))
 @click.option("--template", "template_path", type=click.Path(exists=True), default=None)
 @click.option("--model", default="mock")
 @click.option("--temperature", type=float, default=0.7)

@@ -16,7 +16,7 @@ from pathlib import Path
 from . import selection as sel
 from .corpus import decode
 from .errors import DataError, MbiclError, UsageError
-from .llm import CompletionClient, GenerationParams
+from .llm import BACKENDS, CompletionClient, GenerationParams
 from .metrics import MAX_ORDER, ReferenceCounts, all_ngrams, bleu_corpus, sari_sentence
 from .prompting import PromptTemplate, build_prompt, parse_completion
 
@@ -120,16 +120,19 @@ class ExperimentConfig:
         }
 
     @classmethod
-    def from_manifest(cls, manifest, tune_corpus, test_corpus, make_client, max_in_flight):
+    def from_manifest(cls, manifest, tune_corpus, test_corpus, max_in_flight):
         """The config of the cell that *manifest* records, as base_manifest and
-        run_cell wrote it, and its run_cell arguments: the recorded pairs, read
-        from *tune_corpus*. make_client(name) makes the backend's client."""
+        run_cell wrote it, with no client yet; the name of its backend; and its
+        run_cell arguments: the recorded pairs, read from *tune_corpus*."""
         method, k = manifest["selection_method"], manifest["k"]
         ordering, seed = manifest["ordering"], manifest["seed"]
         if method == "kate" and k != 0:
             raise DataError("a KATE report does not record each query's pairs")
+        backend = manifest["backend"]
+        if backend not in BACKENDS:
+            raise UsageError(f"unknown completion backend {backend!r}")
         config = cls(
-            tune_corpus, test_corpus, make_client(manifest["backend"]), method,
+            tune_corpus, test_corpus, None, method,
             k_values=(k,), orderings=(ordering or sel.Ordering.HIGH_TO_LOW.value,),
             seeds=() if seed is None else (seed,), max_in_flight=max_in_flight,
             template=PromptTemplate(**manifest["template"]),
@@ -139,7 +142,7 @@ class ExperimentConfig:
         if len(pairs) != k:
             raise DataError(f"k {k!r} but {len(pairs)} selected pairs")
         refs = [sel.pair_ref(p) for p in pairs]
-        return config, ([pairs] * len(test_corpus), refs, *config.cells[0])
+        return config, backend, ([pairs] * len(test_corpus), refs, *config.cells[0])
 
 
 def cell_id(method, k, ordering, seed):
@@ -260,10 +263,13 @@ def run_experiment(config):
 
 def replay(text, path, tune_corpus, test_corpus, make_client, max_in_flight=4):
     """Rerun the cell of the report *text*, read from *path*, from its
-    manifest; a fault in the report is a DataError naming ``path:1``."""
-    config, cell = decode(text, lambda obj: ExperimentConfig.from_manifest(
-        obj["manifest"], tune_corpus, test_corpus, make_client, max_in_flight
+    manifest; a fault in the report is a DataError naming ``path:1``.
+    make_client(name) makes the backend's client after the report is read,
+    so a fault it finds, as in the test corpus, is reported as its own."""
+    config, backend, cell = decode(text, lambda obj: ExperimentConfig.from_manifest(
+        obj["manifest"], tune_corpus, test_corpus, max_in_flight
     ), path)
+    config.client = make_client(backend)
     return run_cell(config, *cell)
 
 

@@ -26,6 +26,7 @@ from .prompting import COMPLEX_MARKER, SIMPLE_MARKER
 API_KEY_ENV = "MBICL_API_KEY"
 BASE_URL_ENV = "MBICL_BASE_URL"
 TIMEOUT_S = 120  # seconds per completion request
+BACKENDS = ("http", "mock-echo", "mock-first-reference")  # make_backend's names
 _sleep = time.sleep  # post_json's backoff; a test replaces this, not time.sleep
 
 

@@ -16,9 +16,11 @@ from pathlib import Path
 from . import embeddings as emb
 from .corpus import Sentence, read_jsonl
 from .errors import DataError, UsageError
-from .metrics import (
-    Metric, ReferenceCounts, bertscore_precision, compression_ratio, sari_sentence
-)
+from .metrics import Metric, bertscore_precision, compression_ratio, leave_one_out_sari
+
+# Unused here: bench/spans.py traces selection.sari_sentence by this name,
+# until the library counts its own run statistics (ROADMAP item 3).
+from .metrics import sari_sentence  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -80,23 +82,23 @@ def score_pairs(corpus, metric, embedding_backend=None):
         raise DataError("cannot score an empty corpus")
     if metric is Metric.BERTPREC and embedding_backend is None:
         raise UsageError("BERTScore precision needs --embeddings")
-    if metric is Metric.SARI and all(inst.n_references < 2 for inst in corpus):
-        raise DataError(
-            "leave-one-out SARI scoring needs instances with at least 2 references"
-        )
+    if metric is Metric.SARI:
+        scored = [inst for inst in corpus if inst.n_references >= 2]
+        if not scored:
+            raise DataError(
+                "leave-one-out SARI scoring needs instances with at least 2 references"
+            )
+        if len(scored) < len(corpus):
+            log.warning("skipped %d single-reference instance(s) for SARI scoring",
+                        len(corpus) - len(scored))
+        scores = leave_one_out_sari(scored)
+        return [_pair(inst, j, metric.value, score) for (inst, j, _), score
+                in zip(_candidate_pairs(scored), scores, strict=True)]
 
     pairs = []
-    skipped = 0
     for inst, j, ref in _candidate_pairs(corpus):
         if metric is Metric.CR:
             score = compression_ratio(inst.source, ref)
-        elif metric is Metric.SARI:
-            if inst.n_references < 2:
-                skipped += 1
-                continue
-            if j == 0:
-                rest = ReferenceCounts.leave_one_out(inst.source, inst.references)
-            score = sari_sentence(inst.source, ref, rest[j])
         else:  # Metric.BERTPREC
             cand = emb.embed_tokens(ref, embedding_backend)
             if j == 0:
@@ -105,10 +107,6 @@ def score_pairs(corpus, metric, embedding_backend=None):
             if score >= DUPLICATE_SCORE:
                 continue
         pairs.append(_pair(inst, j, metric.value, score))
-    if skipped:
-        log.warning(
-            "skipped %d single-reference instance(s) for SARI scoring", skipped
-        )
     return pairs
 
 

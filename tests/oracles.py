@@ -215,6 +215,20 @@ def naive_sari_sentence(source, prediction, references):
     return 100.0 * total / SARI_MAX_ORDER
 
 
+def naive_leave_one_out(instances):
+    """Leave-one-out SARI by naive_sari_sentence: each reference of each
+    instance with at least 2 references, scored against the instance's other
+    references, in instance order, then reference index."""
+    return [
+        naive_sari_sentence(
+            inst.source, ref, inst.references[:j] + inst.references[j + 1 :]
+        )
+        for inst in instances
+        if inst.n_references >= 2
+        for j, ref in enumerate(inst.references)
+    ]
+
+
 def naive_bleu_corpus(predictions, reference_lists, max_order=4):
     """Corpus BLEU on the 0-100 scale.
 

@@ -30,7 +30,7 @@ from mbicl import (
 )
 from mbicl.errors import DataError
 from mbicl.llm import MockEchoBackend
-from oracles import sari_oracle
+from oracles import naive_sari_sentence, sari_oracle
 from test_selection import make_pair
 
 
@@ -166,25 +166,23 @@ def test_criterion_5_selection_determinism():
             )
 
 
-def test_criterion_6_leave_one_out(monkeypatch):
+def test_criterion_6_leave_one_out():
     with criterion("6 leave-one-out SARI contract"):
         corpus = make_corpus(
             [("0", "The big cat sat down.",
               ["The cat sat.", "A cat sat down.", "The big cat sat."])]
         )
-        seen = []
-        from mbicl import selection as sel
-
-        real = sel.sari_sentence
-
-        def spy(source, prediction, references):
-            seen.append(len(references))
-            return real(source, prediction, references)
-
-        monkeypatch.setattr(sel, "sari_sentence", spy)
         pairs = score_pairs(corpus, "sari")
         assert len(pairs) == 3
-        assert seen == [2, 2, 2]
+        # each reference is scored against the 2 others, never against itself
+        inst = corpus.instances[0]
+        for j, pair in enumerate(pairs):
+            rest = inst.references[:j] + inst.references[j + 1 :]
+            assert len(rest) == 2
+            assert pair.score == naive_sari_sentence(inst.source, pair.simple, rest)
+            assert pair.score != naive_sari_sentence(
+                inst.source, pair.simple, inst.references
+            )
 
         single = make_corpus([("0", "A cat sat.", ["A cat."])])
         with pytest.raises(DataError, match="SARI scoring needs instances with"):

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import mbicl
-from conftest import FIXTURES, http_reply
+from conftest import FIXTURES, http_reply, make_corpus
 from mbicl.cli import cli, main
 from mbicl.corpus import save_jsonl
 from mbicl.errors import BackendError, DataError, MbiclError, UsageError
@@ -300,6 +300,34 @@ def test_run_of_a_kate_report_is_data_error(corpus_file, tmp_path, capsys):
     assert err == (f"data error: {report}:1: "
                    "a KATE report does not record each query's pairs\n")
     assert not (tmp_path / "replay").exists()
+
+
+def test_run_reports_a_test_corpus_fault_as_grid_does(corpus_file, tmp_path, capsys):
+    rows = [("a", "The cat sat down.", ["The cat sat."]),
+            ("b", "A dog ran away.", ["A dog ran."]),
+            ("c", "The cat sat down.", ["A cat sat."])]
+    test, repeats = tmp_path / "test.jsonl", tmp_path / "repeats.jsonl"
+    save_jsonl(make_corpus(rows[:2]), test)
+    save_jsonl(make_corpus(rows), repeats)
+    args = ("--tune", corpus_file, "--cache", tmp_path / "cache.jsonl")
+    code, _, _ = run_cli(
+        capsys, "grid", *args, "--test", test, "--backend", "mock-first-reference",
+        "--method", "cr", "--k-list", "1", "--out-dir", tmp_path / "grid",
+    )
+    assert code == 0
+    report = tmp_path / "grid" / "cr-k1-high-to-low.json"
+    code, _, grid_err = run_cli(
+        capsys, "grid", *args, "--test", repeats, "--backend", "mock-first-reference",
+        "--method", "cr", "--k-list", "1", "--out-dir", tmp_path / "grid2",
+    )
+    assert (code, grid_err) == (
+        2, "data error: instance c repeats a source with another first reference\n"
+    )
+    code, _, err = run_cli(
+        capsys, "run", report, *args, "--test", repeats, "--out-dir", tmp_path / "replay"
+    )
+    assert (code, err) == (2, grid_err)
+    assert str(report) not in err
 
 
 def _set(path, value):

@@ -20,8 +20,14 @@ from mbicl import (
 )
 from mbicl.errors import DataError
 from mbicl.corpus import read_lines
-from mbicl.metrics import ReferenceCounts, all_ngrams, ngram_counts
-from oracles import bleu_oracle, naive_bleu_corpus, naive_sari_sentence, sari_oracle
+from mbicl.metrics import ReferenceCounts, all_ngrams, leave_one_out_sari, ngram_counts
+from oracles import (
+    bleu_oracle,
+    naive_bleu_corpus,
+    naive_leave_one_out,
+    naive_sari_sentence,
+    sari_oracle,
+)
 
 ROOT2 = math.sqrt(2) / 2
 
@@ -341,19 +347,23 @@ def test_reference_tables_equal_the_naive_path_exactly(tmp_path):
 def test_leave_one_out_tables_hold_the_other_references():
     source = sent("a b c")
     inst_refs = [sent("a b a"), sent("a c"), sent("b b")]
-    tables = ReferenceCounts.leave_one_out(source, inst_refs)
-    assert [len(t) for t in tables] == [2, 2, 2]
     # "c" occurs only in reference 1, so holding it out drops the n-gram
     predictions = [source, *inst_refs, sent("c"), sent("a b"), sent("a c d"), sent("d")]
-    for j, table in enumerate(tables):
+    for j in range(len(inst_refs)):
         rest = inst_refs[:j] + inst_refs[j + 1 :]
-        for pred in predictions:
-            got = sari_sentence(source, pred, table)
-            assert got == naive_sari_sentence(source, pred, rest)
+        # each prediction is held out as the last reference of an instance
+        # whose other references are *rest*
+        corpus = make_corpus([(str(i), source.raw, [r.raw for r in (*rest, pred)])
+                              for i, pred in enumerate(predictions)])
+        held_out = [p for p in score_pairs(corpus, "sari")
+                    if p.reference_index == len(rest)]
+        for pred, pair in zip(predictions, held_out, strict=True):
+            assert pair.simple == pred
+            assert pair.score == naive_sari_sentence(source, pred, rest)
             expected = sari_oracle(
                 list(source.tokens), list(pred.tokens), [list(r.tokens) for r in rest]
             )
-            assert got == pytest.approx(expected, abs=1e-12)
+            assert pair.score == pytest.approx(expected, abs=1e-12)
 
 
 @st.composite
@@ -415,6 +425,84 @@ def test_leave_one_out_counts_each_sentence_once(monkeypatch):
     monkeypatch.setattr(metrics, "ngram_counts", counting)
     refs = [f"The cat number {i} sat on the mat." for i in range(10)]
     corpus = make_corpus([("0", "The big cat sat down on the old mat.", refs)])
-    assert len(score_pairs(corpus, "sari")) == 10
-    # the source and each reference, at orders 1..4
-    assert len(calls) == (10 + 1) * 4
+    scores = [p.score for p in score_pairs(corpus, "sari")]
+    # the kernel counts interned tokens, never through ngram_counts
+    assert calls == []
+    assert scores == naive_leave_one_out(corpus)
+
+
+# case: rows of (id, source, references) whose leave-one-out scores must equal
+# naive_leave_one_out exactly
+LOO_EDGE_CASES = {
+    "sentences-shorter-than-4-tokens": [
+        ("0", "a b", ["a", "a b c", "b"]),
+        ("1", "c", ["c d", "d", "c d e f g"]),
+        ("2", "a b c d e", ["a b", "e"]),
+    ],
+    "no-4-gram-anywhere": [("0", "a b c", ["a b", "b c a"]), ("1", "x", ["x y", "y"])],
+    "reference-equals-source": [
+        ("0", "the cat sat on the mat", ["the cat sat on the mat", "the cat sat",
+                                         "a cat sat on a mat"]),
+        ("1", "he left", ["he left", "he left"]),
+    ],
+    "duplicate-references": [
+        ("0", "the big cat sat",
+         ["the cat sat", "the cat sat", "a cat sat", "the cat sat"]),
+    ],
+    "repeated-source-n-gram": [
+        ("0", "the cat and the cat and the dog",
+         ["the cat and the dog", "the cat the cat the cat",
+          "a dog and the cat and the cat"]),
+        ("1", "a a a a a", ["a a", "a a a a a a", "b a a"]),
+    ],
+    "two-references": [
+        ("0", "the old house was demolished",
+         ["the house was torn down", "they removed it"]),
+        ("1", "she ran home fast", ["she ran home", "she ran home fast"]),
+        ("2", "x y", ["z", "x y z w"]),
+    ],
+}
+
+
+@pytest.mark.parametrize("case", list(LOO_EDGE_CASES))
+def test_leave_one_out_edge_cases_equal_the_naive_path(case):
+    corpus = make_corpus(LOO_EDGE_CASES[case])
+    scores = leave_one_out_sari(corpus.instances)
+    assert scores == naive_leave_one_out(corpus)
+    assert [p.score for p in score_pairs(corpus, "sari")] == scores
+
+
+def test_leave_one_out_skips_single_reference_instances(caplog):
+    corpus = make_corpus([
+        ("0", "a cat sat", ["a cat"]),
+        ("1", "the dog ran far away", ["the dog ran", "a dog ran far", "dog ran"]),
+        ("2", "it rained", ["rain"]),
+        ("3", "the sun rose early", ["the sun rose", "sun up"]),
+    ])
+    pairs = score_pairs(corpus, "sari")
+    assert [p.key for p in pairs] == [("1", 0), ("1", 1), ("1", 2), ("3", 0), ("3", 1)]
+    assert [p.score for p in pairs] == naive_leave_one_out(corpus)
+    assert caplog.messages == ["skipped 2 single-reference instance(s) for SARI scoring"]
+
+
+def test_leave_one_out_blocks_equal_the_naive_path():
+    from mbicl import metrics
+
+    rng = random.Random(5)
+    letters = "abcdef"
+
+    def words(lo, hi):
+        return " ".join(rng.choice(letters) for _ in range(rng.randint(lo, hi)))
+
+    n = 2 * metrics._LOO_BLOCK + 5
+    rows = []
+    for i in range(n):
+        # the whole second block has sources too short for 4-grams
+        short = metrics._LOO_BLOCK <= i < 2 * metrics._LOO_BLOCK
+        source = words(1, 3) if short else words(1, 12)
+        refs = [words(1, 10) for _ in range(rng.randint(2, 7))]
+        if rng.random() < 0.3:
+            refs[rng.randrange(len(refs))] = source
+        rows.append((str(i), source, refs))
+    corpus = make_corpus(rows)
+    assert leave_one_out_sari(corpus.instances) == naive_leave_one_out(corpus)

@@ -22,6 +22,7 @@ from mbicl.selection import (
     pairs_from_refs,
     save_scored_pairs,
 )
+from oracles import naive_sari_sentence
 
 
 def make_pair(id, ref_index=0, score=1.0, metric="cr"):
@@ -58,20 +59,47 @@ def test_score_pairs_cr_values(toy_corpus):
     )
 
 
-def test_score_pairs_sari_leave_one_out(toy_corpus, monkeypatch):
-    seen_counts = []
-    from mbicl import selection as sel
-
-    real = sel.sari_sentence
-
-    def spy(source, prediction, references):
-        seen_counts.append(len(references))
-        return real(source, prediction, references)
-
-    monkeypatch.setattr(sel, "sari_sentence", spy)
+def test_score_pairs_sari_leave_one_out(toy_corpus):
     pairs = score_pairs(toy_corpus, "sari")
     assert len(pairs) == 6
-    assert seen_counts == [1] * 6  # 2 references each -> 1 left after holdout
+    # 2 references each -> 1 left after holdout
+    for pair in pairs:
+        inst = next(i for i in toy_corpus if i.id == pair.instance_id)
+        (rest,) = [r for j, r in enumerate(inst.references) if j != pair.reference_index]
+        assert pair.simple == inst.references[pair.reference_index]
+        assert pair.score == naive_sari_sentence(inst.source, pair.simple, [rest])
+
+
+def test_score_pairs_sari_makes_no_per_pair_call(monkeypatch):
+    from mbicl import metrics
+    from mbicl import selection as sel
+
+    calls = []
+
+    def spy(name):
+        real = getattr(metrics, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return counted
+
+    for name in ("ngram_counts", "sari_sentence"):
+        monkeypatch.setattr(metrics, name, spy(name))
+    monkeypatch.setattr(sel, "sari_sentence", spy("sari_sentence"))
+    rng = random.Random(7)
+    vocab = [f"w{i}" for i in range(300)]
+
+    def words():
+        return " ".join(rng.choice(vocab) for _ in range(rng.randint(5, 30)))
+
+    corpus = make_corpus(
+        [(str(i), words(), [words() for _ in range(10)]) for i in range(200)]
+    )
+    pairs = score_pairs(corpus, "sari")
+    assert len(pairs) == 2000
+    # one batched kernel; scoring per pair makes 2000 and 8800 of these calls
+    assert calls == []
 
 
 def test_score_pairs_sari_rejects_single_reference():
