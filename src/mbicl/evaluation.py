@@ -10,14 +10,21 @@ the cell from the tune and test corpora, against the cache.
 
 import csv
 import json
+import operator
 from dataclasses import asdict, dataclass, field, fields
+from functools import reduce
 from pathlib import Path
 
 from . import selection as sel
 from .corpus import decode
 from .errors import DataError, MbiclError, UsageError
 from .llm import BACKENDS, CompletionClient, GenerationParams
-from .metrics import MAX_ORDER, ReferenceCounts, all_ngrams, bleu_corpus, sari_sentence
+from .metrics import MAX_ORDER, NgramTable
+# bench/spans.py times the SARI and BLEU layers by these two names, until the
+# library counts its own run statistics (ROADMAP item 4); evaluate calls each
+# once per cell.
+from .metrics import bleu_counts as bleu_corpus
+from .metrics import sari_rows as sari_sentence
 from .prompting import PromptTemplate, build_prompt, parse_completion
 
 DEFAULT_K_GRID = (1, 2, 4, 6, 8, 10, 15, 20)
@@ -40,32 +47,29 @@ class EvalReport:
         return text + "\n"
 
 
-def reference_tables(test_corpus):
-    """One ReferenceCounts per test instance, shared by SARI and BLEU."""
-    return [ReferenceCounts(i.source, i.references) for i in test_corpus]
-
-
-def evaluate(test_corpus, predictions, run_id="adhoc", manifest=None, tables=None):
+def evaluate(test_corpus, predictions, run_id="adhoc", manifest=None, table=None):
     """Score *predictions* against *test_corpus* with corpus SARI (the mean
-    of sentence SARI) and BLEU-4, reading the corpus's reference_tables
-    (built when *tables* is None); each prediction is counted once for both."""
+    of sentence SARI, added left to right) and BLEU-4, from the corpus's
+    NgramTable (built when *table* is None) and one count of the predictions."""
     if len(predictions) != len(test_corpus):
         raise DataError(
             f"{len(predictions)} predictions for {len(test_corpus)} instances"
         )
     if not predictions:
         raise DataError(f"test corpus {test_corpus.name!r} has no instances")
-    tables = tables or reference_tables(test_corpus)
-    per_sentence, counts = [], []
-    for inst, pred, table in zip(test_corpus, predictions, tables, strict=True):
-        counts.append(all_ngrams(pred.tokens))
-        score = sari_sentence(inst.source, pred, table, counts[-1])
-        per_sentence.append({"id": inst.id, "sari": score})
-    sari = sum(row["sari"] for row in per_sentence) / len(per_sentence)
-    bleu = bleu_corpus(predictions, tables, counts)
+    if table is None:
+        table = NgramTable(test_corpus.instances)
+    counts = table.count(predictions)
+    scores = sari_sentence(table, counts)
+    per_sentence = tuple(
+        {"id": inst.id, "sari": score}
+        for inst, score in zip(test_corpus, scores, strict=True)
+    )
     return EvalReport(
         run_id=run_id, corpus_name=test_corpus.name, manifest=manifest or {},
-        bleu_order=MAX_ORDER, per_sentence=tuple(per_sentence), sari=sari, bleu=bleu,
+        bleu_order=MAX_ORDER, per_sentence=per_sentence,
+        sari=reduce(operator.add, scores, 0.0) / len(scores),
+        bleu=bleu_corpus(table, counts),
     )
 
 
@@ -200,13 +204,13 @@ def _examples(config, scored_cache, k, ordering, seed):
     return [chosen] * len(config.test_corpus), [sel.pair_ref(p) for p in chosen]
 
 
-def run_cell(config, examples, selected_pairs, k, ordering, seed, tables=None):
+def run_cell(config, examples, selected_pairs, k, ordering, seed, table=None):
     """Prompt each test instance with its examples, complete, parse, score.
 
     *examples* holds one sequence of pairs (empty at k 0) per test instance,
-    in corpus order; *tables* go to evaluate. A failed or unparsable
-    completion fails the cell, with the count of failures and the first
-    failing instance in the message.
+    in corpus order; *table*, the test corpus's NgramTable, goes to evaluate.
+    A failed or unparsable completion fails the cell, with the count of
+    failures and the first failing instance in the message.
     """
     prompts = [
         build_prompt(config.template, pairs, inst.source)
@@ -239,7 +243,7 @@ def run_cell(config, examples, selected_pairs, k, ordering, seed, tables=None):
         predictions,
         run_id=cell_id(config.selection_method, k, ordering, seed),
         manifest=manifest,
-        tables=tables,
+        table=table,
     )
 
 
@@ -249,13 +253,13 @@ def run_experiment(config):
     Returns (reports, failures) where failures maps cell id to the error.
     """
     scored_cache = {}
-    tables = reference_tables(config.test_corpus)
+    table = NgramTable(config.test_corpus.instances)
     reports = []
     failures = {}
     for k, ordering, seed in config.cells:
         try:
             chosen = _examples(config, scored_cache, k, ordering, seed)
-            reports.append(run_cell(config, *chosen, k, ordering, seed, tables))
+            reports.append(run_cell(config, *chosen, k, ordering, seed, table))
         except MbiclError as exc:
             failures[cell_id(config.selection_method, k, ordering, seed)] = exc
     return reports, failures

@@ -10,8 +10,10 @@ p + r = 0 is 0.
 """
 
 import math
-from collections import Counter
+from collections import namedtuple
 from enum import Enum
+from itertools import chain, count, filterfalse
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -26,20 +28,6 @@ class Metric(str, Enum):
     SARI = "sari"
     CR = "cr"
     BERTPREC = "bertprec"
-
-
-def ngram_counts(tokens, order):
-    """Multiset of n-grams of the given order, as a Counter of tuples."""
-    return Counter(zip(*(tokens[i:] for i in range(order))))
-
-
-def all_ngrams(tokens):
-    """The ngram_counts of *tokens* for each order 1..4."""
-    return [ngram_counts(tokens, n) for n in range(1, MAX_ORDER + 1)]
-
-
-def _f1(p, r):
-    return 2 * p * r / (p + r) if p + r > 0 else 0.0
 
 
 def compression_ratio(source, simple):
@@ -67,211 +55,292 @@ def bertscore_precision(candidate_embeddings, reference_embeddings):
     return float(sims.max(axis=1).mean())
 
 
-class ReferenceCounts:
-    """The reference side of SARI and BLEU for one instance, counted once.
+# An instance as NgramTable reads it.
+_Instance = namedtuple("_Instance", "source references")
 
-    For each order 1..4 it holds the references' summed n-gram counts and
-    the source's counts as g -> (count, summed count) in source order. BLEU's
-    clip maxima (an n-gram's largest count in one reference) are stored only
-    where above 1. A *source* of None skips SARI.
+# The source of an instance that only BLEU reads: it has no n-grams.
+_NO_SOURCE = SimpleNamespace(tokens=())
+
+# Each row's instance, its length, and per order its distinct n-grams as
+# (row, id, count) arrays: what NgramTable.count gives sari_rows and bleu_counts.
+_Counts = namedtuple("_Counts", "rows lengths orders")
+
+# Instances counted together. A block's n-gram arrays, and the leave-one-out
+# rows of a block padded to its longest source, are the kernels' largest
+# temporaries, so the block bounds them.
+_BLOCK = 16
+
+
+def _key(prefix, token):
+    """An n-gram's key: its prefix's id in the high bits, its last token's id
+    in the low 32, so that keys sort by prefix and pair each with one token."""
+    return (prefix << 32) | token
+
+
+class NgramTable:
+    """The sources and references of *instances* as integer n-gram counts,
+    built once and read by SARI and BLEU; count() interns the sentences to
+    score against it.
+
+    Tokens are interned to integers. An n-gram's id pairs the id of its
+    (n-1)-gram prefix with its last token, and the empty prefix's id is the
+    instance's index, so an id names an n-gram within one instance and ids
+    never collide across instances. The ids of an order number its sorted
+    keys; one more id, past the last, stands for every n-gram the table
+    lacks. An instance's keys all sort before the next instance's, so blocks
+    of instances are counted one after another and their arrays joined. With
+    *keep_reference_rows*, the n-grams of each reference, one row each in
+    instance order, are kept as reference_rows, in the form count() gives.
     """
 
-    def __init__(self, source, references):
-        per_ref, self.summed = _reference_ngrams(references)
-        self.source = _source_counts(source, self.summed)
-        self.n_refs = len(references)
-        self.lengths = tuple(len(r.tokens) for r in references)
-        self.clip = [{} for _ in self.summed]
-        for counts in per_ref:
-            for clip, order_counts in zip(self.clip, counts):
-                for g, c in order_counts.items():
-                    if c > clip.get(g, 1):
-                        clip[g] = c
+    def __init__(self, instances, keep_reference_rows=False):
+        self.n_refs = np.array([len(i.references) for i in instances], dtype=np.int64)
+        self.ref_lengths = np.array(
+            [len(r.tokens) for inst in instances for r in inst.references],
+            dtype=np.int64,
+        )
+        self.vocab, seen = {}, np.zeros((MAX_ORDER, 2), dtype=np.int64)
+        blocks = [
+            _count_block(instances[b : b + _BLOCK], b, int(self.n_refs[:b].sum()),
+                         seen, self.vocab)
+            for b in range(0, len(instances), _BLOCK)
+        ]
+        self.orders, ref_orders = [], []
+        for _ in range(MAX_ORDER):
+            parts = [block.pop(0) for block in blocks]
+            self.orders.append(_OrderCounts(*(
+                np.concatenate([*(getattr(part, name) for part, _ in parts),
+                                np.array(absent, dtype=np.int64)])
+                for name, absent in zip(_OrderCounts._fields, _ABSENT)
+            )))
+            if keep_reference_rows:
+                refs = zip(*(refs for _, refs in parts))
+                ref_orders.append(tuple(map(np.concatenate, refs)))
+        if keep_reference_rows:
+            rows = np.repeat(np.arange(len(instances)), self.n_refs)
+            self.reference_rows = _Counts(rows, self.ref_lengths, ref_orders)
 
-    def __len__(self):
-        return self.n_refs
+    def count(self, sentences):
+        """The n-grams of *sentences*, one per instance in order, each a row
+        to score against its instance. An n-gram the table lacks gets a fresh
+        id, one per distinct n-gram of an instance, so that it counts as a
+        type of its own; its counts are read at the table's all-zero id. A
+        token the table lacks gets a fresh id too, so no key of an n-gram
+        with a fresh token or prefix is one of the table's."""
+        tokens = _intern(sentences, dict(self.vocab))
+        lengths = np.array([len(s.tokens) for s in sentences], dtype=np.int64)
+        rows = np.arange(len(sentences))
 
+        def number(n, sent, prefix, last):
+            keys, key = self.orders[n].keys, _key(prefix, last)
+            at = np.searchsorted(keys, key)  # the last key is above every n-gram's
+            found = keys[at] == key
+            fresh_ids, fresh, _, _ = _runs(key[~found], sent[~found])
+            ids = np.where(found, at, 0)
+            ids[~found] = len(keys) + fresh_ids
+            return ids, None
 
-def _reference_ngrams(references):
-    """Each reference's n-gram counts for orders 1..4, and their sums over
-    the references."""
-    per_ref = [all_ngrams(r.tokens) for r in references]
-    summed = [Counter() for _ in range(MAX_ORDER)]
-    for counts in per_ref:
-        for total, c in zip(summed, counts):
-            total.update(c)
-    return per_ref, summed
-
-
-def _source_counts(source, summed):
-    """Per order, the source's n-gram counts as g -> (count, summed count)."""
-    if source is None:
-        return []
-    return [
-        {g: (c, total.get(g, 0)) for g, c in ngram_counts(source.tokens, n).items()}
-        for n, total in enumerate(summed, 1)
-    ]
-
-
-def _sari_operation_scores(pred_counts, summed, src_counts, n_refs):
-    """Keep-F1, delete-precision, and add-F1 for one n-gram order. A
-    reference fraction is f = summed / n_refs, and f == 0 is absent."""
-    keep_p, keep_r, delete = [], [], []
-    for g, (c, s) in src_counts.items():
-        f = s / n_refs
-        p = pred_counts.get(g, 0)
-        good = 0.0
-        if p:  # kept: in both source and prediction
-            kept = min(c, p)
-            good = min(kept, f)
-            keep_p.append(good / kept)
-        if f:
-            keep_r.append(good / min(c, f))
-        if c > p:  # deleted: absent from (or less frequent in) the prediction
-            delete.append(max(0.0, c - p - f) / (c - p))
-    # add: n-gram types new in the prediction relative to the source
-    added = add_good = 0
-    for g in pred_counts:
-        if g not in src_counts:
-            added += 1
-            add_good += g in summed
-    n_addable = len(summed) - len(keep_r)  # reference n-grams, less the source's
-    add_p = add_good / added if added else 0.0
-    add_r = add_good / n_addable if n_addable else 0.0
-    keep_p = sum(keep_p) / len(keep_p) if keep_p else 0.0
-    keep_r = sum(keep_r) / len(keep_r) if keep_r else 0.0
-    del_p = sum(delete) / len(delete) if delete else 0.0
-    return _f1(keep_p, keep_r), del_p, _f1(add_p, add_r)
+        orders = []
+        for order, (sent, ids, _) in zip(
+            self.orders, _ngrams(tokens, lengths, rows, number)
+        ):
+            _, _, first, p = _runs(ids, sent)  # each row's distinct n-grams
+            orders.append((sent[first], np.minimum(ids[first], len(order.keys) - 1), p))
+        return _Counts(rows, lengths, orders)
 
 
-def sari_sentence(source, prediction, references, counts=None):
-    """Sentence-level SARI on the 0-100 scale, against a list of references
-    or their ReferenceCounts; *counts* are the prediction's all_ngrams."""
+def _runs(values, sent):
+    """Sort *values*, each in sentence *sent*, by one stable argsort: each
+    value's index among the distinct values, those values in order, and per
+    run of one value in one sentence its first position and its length. A
+    run's first position is the value's first in its sentence."""
+    order = np.argsort(values, kind="stable")
+    ordered, sent = values[order], sent[order]
+    new = np.ones(len(values), dtype=bool)
+    new[1:] = ordered[1:] != ordered[:-1]
+    index = np.empty(len(values), dtype=np.int64)
+    index[order] = np.cumsum(new) - 1
+    distinct = ordered[new]
+    new[1:] |= sent[1:] != sent[:-1]
+    at = np.flatnonzero(new)
+    return index, distinct, order[at], np.diff(np.append(at, len(values)))
+
+
+def _intern(sentences, vocab):
+    """The tokens of *sentences* as ids; a token *vocab* lacks is added to
+    it, numbered past its ids in first-occurrence order."""
+    tokens = list(chain.from_iterable(s.tokens for s in sentences))
+    new = dict.fromkeys(filterfalse(vocab.__contains__, tokens))
+    vocab.update(zip(new, count(len(vocab))))
+    return np.fromiter(map(vocab.__getitem__, tokens), dtype=np.int64, count=len(tokens))
+
+
+def _ngrams(tokens, lengths, first, number):
+    """Per order 1..MAX_ORDER, the sentence and the id of each n-gram of the
+    sentences whose interned *tokens* and *lengths* are given, and what else
+    number(n, their sentences, prefix ids, last tokens) returned with the ids
+    of order n + 1. The empty prefix's id is *first* of the sentence's."""
+    sent = np.repeat(np.arange(len(lengths)), lengths)  # each token's sentence
+    ends = np.cumsum(lengths)  # where each sentence ends
+    pos, ids = np.arange(len(tokens)), first[sent]
+    for n in range(MAX_ORDER):
+        longer = pos + n < ends[sent]  # the n-gram at pos fits its sentence
+        pos, sent = pos[longer], sent[longer]
+        ids, extra = number(n, sent, ids[longer], tokens[pos + n])
+        yield sent, ids, extra
+
+
+# One order of an NgramTable. Per id: the summed reference count, the clip
+# maximum (the largest count in one reference) and, for a source type, its
+# column, else -1; the last id has 0, 0 and -1. The columns list each
+# instance's source types in first-occurrence order, instance after instance,
+# with their source and summed counts. Per instance: how many columns it has,
+# where they start, and how many addable types (in a reference, not in the
+# source) it has.
+_OrderCounts = namedtuple(
+    "_OrderCounts", "keys summed clip column col_src col_summed widths starts addable"
+)
+
+
+# What each field of _OrderCounts holds at the all-zero last id.
+_ABSENT = _OrderCounts((np.iinfo(np.int64).max,), (0,), (0,), (-1,), (), (), (), (), ())
+
+
+def _count_block(instances, first_inst, first_ref, seen, vocab):
+    """Per order, the _OrderCounts of a block of instances, the first of
+    them the table's instance *first_inst* and its first reference the table's
+    *first_ref*, without the all-zero id; and the (reference, id, count) of
+    its references' n-gram types. *seen* holds per order the ids and columns
+    of the blocks before, and is moved past this block's; new tokens are
+    added to *vocab*."""
+    sentences = [s for inst in instances for s in (inst.source, *inst.references)]
+    tokens = _intern(sentences, vocab)
+    lengths = np.array([len(s.tokens) for s in sentences], dtype=np.int64)
+    n_refs = np.array([len(i.references) for i in instances], dtype=np.int64)
+    sent_inst = np.repeat(np.arange(len(instances)), n_refs + 1)
+    is_source = np.zeros(len(sentences), dtype=bool)
+    is_source[np.cumsum(n_refs + 1) - n_refs - 1] = True
+    ref_of = np.arange(len(sentences)) - sent_inst - 1  # a reference's row
+
+    def number(n, sent, prefix, last):
+        ids, keys, first, per_sent = _runs(_key(prefix, last), sent)
+        return ids + seen[n, 0], (keys, first, per_sent)
+
+    orders = []
+    for n, (sent, ids, (keys, first, per_sent)) in enumerate(
+        _ngrams(tokens, lengths, sent_inst + first_inst, number)
+    ):
+        (id_off, col_off), n_ids = seen[n], len(keys)
+        # each sentence's n-gram types: their ids, counts and instances
+        g, in_src = ids[first] - id_off, is_source[sent[first]]
+        inst_of = np.zeros(n_ids, dtype=np.int64)
+        inst_of[g] = sent_inst[sent[first]]
+        src, summed, clip = (np.zeros(n_ids, dtype=np.int64) for _ in range(3))
+        src[g[in_src]] = per_sent[in_src]
+        ref_g, per_ref = g[~in_src], per_sent[~in_src]
+        np.add.at(summed, ref_g, per_ref)
+        np.maximum.at(clip, ref_g, per_ref)
+        is_first = np.zeros(len(sent), dtype=bool)  # a source type's first position
+        is_first[first[in_src]] = True
+        columns = ids[is_first] - id_off
+        column = np.full(n_ids, -1, dtype=np.int64)
+        column[columns] = np.arange(len(columns)) + col_off
+        widths = np.bincount(inst_of[columns], minlength=len(instances))
+        addable = np.bincount(
+            inst_of[(src == 0) & (summed > 0)], minlength=len(instances)
+        )
+        orders.append((
+            _OrderCounts(keys, summed, clip, column, src[columns], summed[columns],
+                         widths, np.cumsum(widths) - widths + col_off, addable),
+            (ref_of[sent[first[~in_src]]] + first_ref, ref_g + id_off, per_ref),
+        ))
+        seen[n] += n_ids, len(columns)
+    return orders
+
+
+def sari_sentence(source, prediction, references):
+    """Sentence-level SARI on the 0-100 scale."""
     if not references:
         raise DataError("SARI needs at least one reference")
-    if not isinstance(references, ReferenceCounts):
-        references = ReferenceCounts(source, references)
-    counts = counts or all_ngrams(prediction.tokens)
-    total = 0.0
-    tables = zip(references.summed, references.source, counts)
-    for summed, src_counts, pred_counts in tables:
-        keep_f, del_p, add_f = _sari_operation_scores(
-            pred_counts, summed, src_counts, references.n_refs
-        )
-        total += (keep_f + del_p + add_f) / 3
-    return 100.0 * total / MAX_ORDER
+    table = NgramTable([_Instance(source, references)])
+    return sari_rows(table, table.count([prediction]))[0]
 
 
-# Instances scored together. A block's counts, and its rows padded to its
-# longest source, are the kernel's temporaries, so the block bounds them.
-_LOO_BLOCK = 16
+def sari_rows(table, counts, held_out=False):
+    """SARI on the 0-100 scale of each row of *counts* (NgramTable.count),
+    against the references of its instance in *table*. With *held_out*, each
+    row is one of those references, scored against the others.
+
+    Each cell does the IEEE operations of the counting rules, the add counts
+    stay integers, and each mean adds its terms left to right in the source's
+    first-occurrence order (np.add.accumulate along the row, with 0.0 for an
+    absent term), so that a row's score does not depend on the rows, or the
+    instances, it is scored with.
+    """
+    total = np.zeros(len(counts.rows))
+    for order, (row, g, p) in zip(table.orders, counts.orders):
+        total += _order_scores(order, table.n_refs, counts.rows, row, g, p, held_out)
+    return (100.0 * total / MAX_ORDER).tolist()
 
 
 def leave_one_out_sari(instances):
     """Leave-one-out SARI of every (source, reference) pair of *instances*,
     each with at least 2 references: reference j is the prediction, scored
     against the other references. Scores come in instance order, then
-    reference index, and equal sari_sentence's exactly.
-
-    Tokens are interned to integers. An n-gram's id pairs the id of its
-    (n-1)-gram prefix with its last token, and the empty prefix's id is the
-    instance's index, so an id names an n-gram within one instance and every
-    count is an integer array. Each cell does the IEEE operations of
-    _sari_operation_scores, and each mean adds its terms left to right in
-    the source's order, as sum() does on Python 3.11.
-    """
+    reference index, and equal sari_sentence's exactly."""
     scores = []
-    for b in range(0, len(instances), _LOO_BLOCK):
-        scores += _loo_block(instances[b : b + _LOO_BLOCK])
+    for b in range(0, len(instances), _BLOCK):
+        table = NgramTable(instances[b : b + _BLOCK], keep_reference_rows=True)
+        scores += sari_rows(table, table.reference_rows, held_out=True)
     return scores
 
 
-def _loo_block(instances):
-    """leave_one_out_sari of one block of instances."""
-    sentences = [s for inst in instances for s in (inst.source, *inst.references)]
-    vocab = {}
-    tokens = np.array(
-        [vocab.setdefault(t, len(vocab)) for s in sentences for t in s.tokens],
-        dtype=np.int64,
-    )
-    lengths = np.array([len(s.tokens) for s in sentences], dtype=np.int64)
-    n_refs = np.array([inst.n_references for inst in instances], dtype=np.int64)
-    sent_inst = np.repeat(np.arange(len(instances)), n_refs + 1)
-    is_source = np.zeros(len(sentences), dtype=bool)
-    is_source[np.cumsum(n_refs + 1) - n_refs - 1] = True
-    sent = np.repeat(np.arange(len(sentences)), lengths)  # each token's sentence
-    ends = np.repeat(np.cumsum(lengths), lengths)  # where that sentence ends
-    pos, ids = np.arange(len(tokens)), sent_inst[sent]
-    total = np.zeros(int(n_refs.sum()))
-    for n in range(1, MAX_ORDER + 1):
-        longer = pos + n - 1 < ends[pos]  # the n-gram at pos fits its sentence
-        pos = pos[longer]
-        ngrams, ids = np.unique(
-            ids[longer] * len(vocab) + tokens[pos + n - 1], return_inverse=True
-        )
-        total += _loo_order_scores(
-            sent[pos], ids, len(ngrams), sent_inst, is_source, n_refs
-        )
-    return (100.0 * total / MAX_ORDER).tolist()
+def _order_scores(order, n_refs, rows, row, g, p, held_out):
+    """(keep-F1 + delete-precision + add-F1) / 3 of one order for every row,
+    from each row's distinct n-grams: the row, the id *g* and the count *p*.
+    A held-out row's counts leave its instance's summed reference counts."""
+    n, summed, column = len(rows), order.summed[g], order.column[g]
+    rest = summed - p if held_out else summed  # in the scoring references
+    new = column < 0
 
-
-def _loo_order_scores(sent, ids, n_ids, sent_inst, is_source, n_refs):
-    """(keep-F1 + delete-precision + add-F1) / 3 of one order for every
-    leave-one-out row, from the sentence and the id of each n-gram."""
-    rows = np.flatnonzero(~is_source)  # each reference sentence is one row
-    row_inst = sent_inst[rows]
-    in_src = is_source[sent]
-    inst_of = np.zeros(n_ids, dtype=np.int64)
-    inst_of[ids] = sent_inst[sent]
-    src_c = np.bincount(ids[in_src], minlength=n_ids)
-    summed = np.bincount(ids[~in_src], minlength=n_ids)
-    ref_types, held = np.unique(sent[~in_src] * n_ids + ids[~in_src], return_counts=True)
-    ref_sent, ref_id = np.divmod(ref_types, n_ids)
-
-    # add: a row's types new to the source, those also in another reference,
-    # and the types of the other references new to the source
-    new = src_c[ref_id] == 0
-    added = np.bincount(ref_sent[new], minlength=len(sent_inst))[rows]
-    alone = new & (summed[ref_id] == held)
-    only_held = np.bincount(ref_sent[alone], minlength=len(sent_inst))[rows]
-    addable = np.bincount(inst_of[(src_c == 0) & (summed > 0)], minlength=len(n_refs))
-    add_good = added - only_held
+    # add: a row's types new to the source, those also in a scoring
+    # reference, and the addable types only the held-out row has
+    added = np.bincount(row[new], minlength=n)
+    add_good = np.bincount(row[new & (rest > 0)], minlength=n)
+    lost = np.bincount(row[new & (rest == 0) & (summed > 0)], minlength=n)
     add_f = _f1_rows(
-        _ratio(add_good, added), _ratio(add_good, addable[row_inst] - only_held)
+        _ratio(add_good, added), _ratio(add_good, order.addable[rows] - lost)
     )
 
-    # keep and delete: a column per source type, in first-occurrence order
-    _, first = np.unique(ids[in_src], return_index=True)
-    columns = ids[in_src][np.sort(first)]
-    keep_f = del_p = np.zeros(len(rows))
-    if len(columns):  # else no source n-gram of this order: no keep or delete term
-        widths = np.bincount(inst_of[columns], minlength=len(n_refs))
-        starts = np.cumsum(widths) - widths
-        col_of = np.zeros(n_ids, dtype=np.int64)
-        col_of[columns] = np.arange(len(columns)) - starts[inst_of[columns]]
+    # keep and delete: the row's instance's columns, padded to the widest
+    keep_f = del_p = np.zeros(n)
+    widths, starts = order.widths[rows], order.starts[rows]
+    if widths.max(initial=0):  # else no source n-gram of this order
         col = np.arange(widths.max())
-        cell = col < widths[row_inst][:, None]
-        g = columns[np.where(cell, starts[row_inst][:, None] + col, 0)]
-        c, s = np.where(cell, src_c[g], 0), np.where(cell, summed[g], 0)
-        h = np.zeros(cell.shape, dtype=np.int64)  # held-out counts of source types
-        row_of = np.cumsum(~is_source) - 1
-        h[row_of[ref_sent[~new]], col_of[ref_id[~new]]] = held[~new]
-        keep_f, del_p = _keep_delete(c, s, h, n_refs[row_inst] - 1)
+        cell = col < widths[:, None]
+        at = np.where(cell, starts[:, None] + col, 0)
+        c = np.where(cell, order.col_src[at], 0)
+        s = np.where(cell, order.col_summed[at], 0)
+        pc = np.zeros(cell.shape, dtype=np.int64)  # the row's counts of source types
+        kept = row[~new]
+        pc[kept, column[~new] - starts[kept]] = p[~new]
+        scoring = s - pc if held_out else s
+        keep_f, del_p = _keep_delete(c, scoring, pc, n_refs[rows] - held_out)
     return (keep_f + del_p + add_f) / 3
 
 
-def _keep_delete(c, s, h, n_refs):
+def _keep_delete(c, s, p, n_refs):
     """Keep-F1 and delete-precision per row, from the source count *c*, the
-    summed count *s* and the held-out count *h* of each source type (the
-    held-out reference is the prediction). A padding cell has c = s = h = 0."""
-    f = (s - h) / n_refs[:, None]
-    kept = np.minimum(c, h)
-    good = np.where(h > 0, np.minimum(kept, f), 0.0)
+    count *s* summed over the *n_refs* scoring references and the prediction
+    count *p* of each source type. A padding cell has c = s = p = 0."""
+    f = s / n_refs[:, None]
+    kept = np.minimum(c, p)
+    good = np.where(p > 0, np.minimum(kept, f), 0.0)
     zeros = np.zeros(c.shape)
-    keep_p = _row_mean(np.divide(good, kept, out=zeros.copy(), where=h > 0), h > 0)
+    keep_p = _row_mean(np.divide(good, kept, out=zeros.copy(), where=p > 0), p > 0)
     recall = np.divide(good, np.minimum(c, f), out=zeros.copy(), where=f != 0)
-    deleted = np.divide(np.maximum(0.0, c - h - f), c - h, out=zeros, where=c > h)
-    return _f1_rows(keep_p, _row_mean(recall, f != 0)), _row_mean(deleted, c > h)
+    deleted = np.divide(np.maximum(0.0, c - p - f), c - p, out=zeros, where=c > p)
+    return _f1_rows(keep_p, _row_mean(recall, f != 0)), _row_mean(deleted, c > p)
 
 
 def _row_mean(terms, present):
@@ -290,14 +359,13 @@ def _f1_rows(p, r):
     return np.divide(2 * p * r, d, out=np.zeros(len(d)), where=d > 0)
 
 
-def bleu_corpus(predictions, reference_lists, counts=None):
-    """Corpus BLEU-4 on the 0-100 scale.
+def bleu_corpus(predictions, reference_lists):
+    """Corpus BLEU-4 on the 0-100 scale; each entry of *reference_lists* is
+    a list of Sentences.
 
     Multi-reference clipped n-gram precision, geometric mean over orders
     1..4, brevity penalty from the closest reference length
-    (ties resolved toward the shorter reference), no smoothing. Each entry of
-    *reference_lists* is a list of Sentences or their ReferenceCounts, and
-    of *counts* a prediction's all_ngrams (counted here when None).
+    (ties resolved toward the shorter reference), no smoothing.
     """
     if len(predictions) != len(reference_lists):
         raise DataError(
@@ -305,27 +373,28 @@ def bleu_corpus(predictions, reference_lists, counts=None):
         )
     if not predictions:
         raise DataError("cannot score an empty corpus")
+    if not all(reference_lists):
+        raise DataError("BLEU needs at least one reference per sentence")
+    table = NgramTable([_Instance(_NO_SOURCE, refs) for refs in reference_lists])
+    return bleu_counts(table, table.count(predictions))
 
-    matches = [0] * MAX_ORDER
-    totals = [0] * MAX_ORDER
-    pred_len = 0
-    ref_len = 0
-    counts = counts or [all_ngrams(pred.tokens) for pred in predictions]
-    for pred, table, pred_tables in zip(predictions, reference_lists, counts,
-                                        strict=True):
-        if not table:
-            raise DataError("BLEU needs at least one reference per sentence")
-        if not isinstance(table, ReferenceCounts):
-            table = ReferenceCounts(None, table)
-        pred_len += len(pred.tokens)
-        ref_len += min(table.lengths, key=lambda rl: (abs(rl - len(pred.tokens)), rl))
-        for n, pred_counts in enumerate(pred_tables):
-            clip, present = table.clip[n], table.summed[n]
-            # no stored maximum: 1 if some reference has the n-gram, else 0
-            matches[n] += sum(
-                min(c, clip.get(g, g in present)) for g, c in pred_counts.items()
-            )
-            totals[n] += sum(pred_counts.values())
+
+def bleu_counts(table, counts):
+    """bleu_corpus of the rows of *counts* (NgramTable.count), one per
+    instance of *table*, in order. Matches, totals and lengths are integers."""
+    matches, totals = [], []
+    for order, (_, g, p) in zip(table.orders, counts.orders):
+        matches.append(int(np.minimum(p, order.clip[g]).sum()))
+        totals.append(int(p.sum()))
+    # each instance's reference length closest to its prediction's, the
+    # shorter one on a tie
+    lengths = table.ref_lengths
+    span = int(lengths.max()) + 1
+    pred_lens = np.repeat(counts.lengths, table.n_refs)
+    closest = np.abs(lengths - pred_lens) * span + lengths
+    starts = np.cumsum(table.n_refs) - table.n_refs
+    ref_len = int((np.minimum.reduceat(closest, starts) % span).sum())
+    pred_len = int(counts.lengths.sum())
 
     if any(t == 0 or m == 0 for m, t in zip(matches, totals)):
         return 0.0

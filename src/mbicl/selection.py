@@ -19,7 +19,7 @@ from .errors import DataError, UsageError
 from .metrics import Metric, bertscore_precision, compression_ratio, leave_one_out_sari
 
 # Unused here: bench/spans.py traces selection.sari_sentence by this name,
-# until the library counts its own run statistics (ROADMAP item 3).
+# until the library counts its own run statistics (ROADMAP item 4).
 from .metrics import sari_sentence  # noqa: F401
 
 log = logging.getLogger(__name__)

@@ -9,7 +9,9 @@ exact-equality tests.
 """
 
 import math
+import operator
 from collections import Counter
+from functools import reduce
 
 from mbicl.embeddings import _normalize_rows
 from mbicl.errors import DataError, UsageError
@@ -138,6 +140,12 @@ def max_cosine_mean_oracle(candidate_rows, reference_rows):
 SARI_MAX_ORDER = 4
 
 
+def left_sum(terms):
+    """Float terms added left to right: the order sum() adds in before
+    Python 3.12, which compensates float rounding."""
+    return reduce(operator.add, terms, 0.0)
+
+
 def ngram_counts(tokens, order):
     return Counter(
         tuple(tokens[i : i + order]) for i in range(len(tokens) - order + 1)
@@ -165,11 +173,11 @@ def _naive_sari_operation_scores(src_counts, pred_counts, ref_counts, n_refs):
     }
     keep_p = keep_r = 0.0
     if kept:
-        keep_p = sum(min(c, ref_frac.get(g, 0.0)) / c for g, c in kept.items()) / len(
-            kept
-        )
+        keep_p = left_sum(
+            min(c, ref_frac.get(g, 0.0)) / c for g, c in kept.items()
+        ) / len(kept)
     if kept_in_src_and_ref:
-        keep_r = sum(
+        keep_r = left_sum(
             min(kept.get(g, 0.0), ref_frac[g]) / c
             for g, c in kept_in_src_and_ref.items()
         ) / len(kept_in_src_and_ref)
@@ -182,7 +190,7 @@ def _naive_sari_operation_scores(src_counts, pred_counts, ref_counts, n_refs):
     }
     del_p = 0.0
     if deleted:
-        del_p = sum(
+        del_p = left_sum(
             max(0.0, c - ref_frac.get(g, 0.0)) / c for g, c in deleted.items()
         ) / len(deleted)
 

@@ -666,6 +666,31 @@ def test_empty_test_corpus_is_data_error(corpus_file, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_evaluate_scores_a_grid_cell_as_the_grid_does(corpus_file, tmp_path, capsys):
+    # mock-first-reference predicts each test instance's first reference; the
+    # 20-instance test corpus spans two blocks of the n-gram table
+    test = FIXTURES / "pin_corpus.jsonl"
+    code, _, _ = run_cli(
+        capsys, "grid", "--tune", corpus_file, "--test", test,
+        "--backend", "mock-first-reference", "--method", "cr", "--k-list", "1",
+        "--out-dir", tmp_path / "grid",
+    )
+    assert code == 0
+    cell = json.loads((tmp_path / "grid" / "cr-k1-high-to-low.json").read_text())
+    predictions = tmp_path / "predictions.txt"
+    predictions.write_text(
+        "".join(inst.references[0].raw + "\n" for inst in mbicl.load_jsonl(test))
+    )
+    code, _, _ = run_cli(
+        capsys, "evaluate", "--test", test, "--predictions", predictions,
+        "-o", tmp_path / "evaluated.json",
+    )
+    assert code == 0
+    evaluated = json.loads((tmp_path / "evaluated.json").read_text())
+    assert evaluated["per_sentence"] == cell["per_sentence"]
+    assert (evaluated["sari"], evaluated["bleu"]) == (cell["sari"], cell["bleu"])
+
+
 def test_evaluate_rejects_a_blank_prediction_line(tmp_path, capsys):
     corpus = tmp_path / "test.jsonl"
     lines = (FIXTURES / "pin_corpus.jsonl").read_text().splitlines(keepends=True)

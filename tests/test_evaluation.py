@@ -1,7 +1,9 @@
+import collections
+
 import pytest
 
 from conftest import CountingBackend, CountingEmbedder, load_pins, make_corpus, sent
-from oracles import naive_bleu_corpus, naive_sari_sentence
+from oracles import left_sum, naive_bleu_corpus, naive_sari_sentence
 from mbicl import (
     CompletionClient,
     ExperimentConfig,
@@ -48,8 +50,9 @@ def test_evaluate_matches_metric_kernels(echo_corpus):
 def test_evaluate_mean_consistency(echo_corpus):
     predictions = [inst.references[0] for inst in echo_corpus]
     report = evaluate(echo_corpus, predictions)
-    mean = sum(r["sari"] for r in report.per_sentence) / len(report.per_sentence)
-    assert report.sari == pytest.approx(mean, abs=1e-9)
+    assert report.sari == left_sum(r["sari"] for r in report.per_sentence) / len(
+        report.per_sentence
+    )
 
 
 def test_evaluate_reference_predictions_bleu_100(echo_corpus):
@@ -63,41 +66,52 @@ def test_evaluate_length_mismatch(echo_corpus):
 
 
 def test_evaluate_counts_each_prediction_once(echo_corpus, monkeypatch):
-    tables = evaluation.reference_tables(echo_corpus)
+    table = metrics.NgramTable(echo_corpus.instances)
     predictions = [
         inst.source if i % 3 == 0 else inst.references[0] if i % 3 == 1
         else sent("The sun was hidden for days .")
         for i, inst in enumerate(echo_corpus)
     ]
-    calls = []
-    real = metrics.ngram_counts
+    counted, countered = [], []
+    real_count, real_counter = metrics.NgramTable.count, collections.Counter.__init__
 
-    def counting(tokens, order):
-        calls.append(order)
-        return real(tokens, order)
+    def count(self, sentences):
+        counted.append(list(sentences))
+        return real_count(self, sentences)
 
-    monkeypatch.setattr(metrics, "ngram_counts", counting)
-    report = evaluate(echo_corpus, predictions, tables=tables)
+    def counter(self, *args, **kwargs):
+        countered.append(args)
+        real_counter(self, *args, **kwargs)
+
+    def build(self, *args, **kwargs):
+        raise AssertionError("evaluate built a table it was given")
+
+    monkeypatch.setattr(metrics.NgramTable, "count", count)
+    monkeypatch.setattr(metrics.NgramTable, "__init__", build)
+    monkeypatch.setattr(collections.Counter, "__init__", counter)
+    report = evaluate(echo_corpus, predictions, table=table)
     monkeypatch.undo()
-    # each prediction at orders 1..4, shared by SARI and BLEU
-    assert len(calls) == 4 * len(echo_corpus)
+    # the predictions are interned once, for SARI and BLEU, and no Counter
+    # counts an n-gram
+    assert counted == [predictions]
+    assert countered == []
     expected = [
         naive_sari_sentence(inst.source, pred, inst.references)
         for inst, pred in zip(echo_corpus, predictions)
     ]
     assert [row["sari"] for row in report.per_sentence] == expected
-    assert report.sari == sum(expected) / len(expected)
+    assert report.sari == left_sum(expected) / len(expected)
     refs = [inst.references for inst in echo_corpus]
     assert report.bleu == naive_bleu_corpus(predictions, refs)
 
 
 def test_grid_builds_each_test_table_once(toy_corpus, echo_corpus, monkeypatch):
     built = []
-    real_init = metrics.ReferenceCounts.__init__
+    real_init = metrics.NgramTable.__init__
 
-    def count_init(self, source, references):
-        built.append(source)
-        real_init(self, source, references)
+    def count_init(self, instances, *args, **kwargs):
+        built.append(instances)
+        real_init(self, instances, *args, **kwargs)
 
     evaluated = []
     real_evaluate = evaluation.evaluate
@@ -106,7 +120,7 @@ def test_grid_builds_each_test_table_once(toy_corpus, echo_corpus, monkeypatch):
         evaluated.append((args, kwargs))
         return real_evaluate(*args, **kwargs)
 
-    monkeypatch.setattr(metrics.ReferenceCounts, "__init__", count_init)
+    monkeypatch.setattr(metrics.NgramTable, "__init__", count_init)
     monkeypatch.setattr(evaluation, "evaluate", record_evaluate)
     config = config_for(
         toy_corpus, echo_corpus, echo_client(), k_values=(1, 2, 4),
@@ -115,9 +129,11 @@ def test_grid_builds_each_test_table_once(toy_corpus, echo_corpus, monkeypatch):
     reports, failures = run_experiment(config)
     monkeypatch.undo()
     assert not failures and len(reports) == 9
-    assert built == [inst.source for inst in echo_corpus]
+    # one table of the test corpus for the grid; the sari grid's
+    # leave-one-out scoring builds its own of the tune corpus
+    assert [b for b in built if b is echo_corpus.instances] == [echo_corpus.instances]
     for report, (args, kwargs) in zip(reports, evaluated, strict=True):
-        assert kwargs.pop("tables") is not None
+        assert kwargs.pop("table") is not None
         assert evaluate(*args, **kwargs).to_json() == report.to_json()
 
 

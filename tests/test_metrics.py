@@ -1,6 +1,11 @@
+import collections
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,9 +25,10 @@ from mbicl import (
 )
 from mbicl.errors import DataError
 from mbicl.corpus import read_lines
-from mbicl.metrics import ReferenceCounts, all_ngrams, leave_one_out_sari, ngram_counts
+from mbicl.metrics import NgramTable, leave_one_out_sari, sari_rows
 from oracles import (
     bleu_oracle,
+    left_sum,
     naive_bleu_corpus,
     naive_leave_one_out,
     naive_sari_sentence,
@@ -250,9 +256,8 @@ def test_bleu_errors():
         bleu_corpus([], [])
     with pytest.raises(DataError, match="1 predictions, 0 reference lists"):
         bleu_corpus([sent("a")], [])
-    preds = [sent("a b"), sent("c d")]
-    with pytest.raises(ValueError, match="zip"):
-        bleu_corpus(preds, [[p] for p in preds], counts=[all_ngrams(preds[0].tokens)])
+    with pytest.raises(DataError, match="BLEU needs at least one reference per"):
+        bleu_corpus([sent("a"), sent("b")], [[sent("a")], []])
 
 
 @settings(max_examples=40, deadline=None)
@@ -304,7 +309,7 @@ def _exactness_corpora(tmp_path):
 
 
 def test_reference_tables_equal_the_naive_path_exactly(tmp_path):
-    saw_clip_above_one = saw_foreign_ngram = False
+    saw_clip_above_one = saw_foreign_token = False
     for corpus, generated in _exactness_corpora(tmp_path):
         naive_loo = [
             naive_sari_sentence(
@@ -321,27 +326,25 @@ def test_reference_tables_equal_the_naive_path_exactly(tmp_path):
             [inst.references[-1] for inst in corpus],
             [sent(inst.source.raw + " zzz qqq") for inst in corpus],
         ]
-        for predictions in prediction_sets:
-            for inst, pred in zip(corpus, predictions):
-                expected = naive_sari_sentence(inst.source, pred, inst.references)
-                table = ReferenceCounts(inst.source, inst.references)
-                assert sari_sentence(inst.source, pred, table) == expected
-                assert sari_sentence(inst.source, pred, inst.references) == expected
-                saw_foreign_ngram |= any(
-                    g not in table.summed[0] and g not in table.source[0]
-                    for g in ngram_counts(pred.tokens, 1)
-                )
+        table = NgramTable(corpus.instances)
+        saw_clip_above_one |= bool(table.orders[0].clip.max() > 1)
         refs = [inst.references for inst in corpus]
-        tables = [ReferenceCounts(inst.source, inst.references) for inst in corpus]
-        saw_clip_above_one |= any(t.clip[0] for t in tables)
         for predictions in prediction_sets:
-            for inst, pred, table in zip(corpus, predictions, tables):
-                expected = naive_bleu_corpus([pred], [inst.references])
-                assert bleu_corpus([pred], [table]) == expected
-            expected = naive_bleu_corpus(predictions, refs)
-            assert bleu_corpus(predictions, tables) == expected
-            assert bleu_corpus(predictions, refs) == expected
-    assert saw_clip_above_one and saw_foreign_ngram
+            report = evaluate(corpus, predictions, table=table)
+            expected = [
+                naive_sari_sentence(inst.source, pred, inst.references)
+                for inst, pred in zip(corpus, predictions)
+            ]
+            assert [row["sari"] for row in report.per_sentence] == expected
+            assert report.bleu == naive_bleu_corpus(predictions, refs)
+            assert bleu_corpus(predictions, refs) == report.bleu
+            for inst, pred, score in zip(corpus, predictions, expected):
+                assert sari_sentence(inst.source, pred, inst.references) == score
+                assert bleu_corpus([pred], [inst.references]) == naive_bleu_corpus(
+                    [pred], [inst.references]
+                )
+                saw_foreign_token |= any(t not in table.vocab for t in pred.tokens)
+    assert saw_clip_above_one and saw_foreign_token
 
 
 def test_leave_one_out_tables_hold_the_other_references():
@@ -405,29 +408,39 @@ def test_shared_counts_equal_the_naive_path_exactly(rows):
         for j, ref in enumerate(inst.references)
     ]
     assert [p.score for p in score_pairs(corpus, "sari")] == naive_loo
-    for inst, (_, _, foreign) in zip(corpus, rows):
-        table = ReferenceCounts(inst.source, inst.references)
-        for pred in (inst.source, inst.references[-1], sent(foreign)):
-            expected = naive_sari_sentence(inst.source, pred, inst.references)
-            assert sari_sentence(inst.source, pred, table) == expected
+    table = NgramTable(corpus.instances)
+    foreign = [sent(foreign) for _, _, foreign in rows]
+    for predictions in ([i.source for i in corpus], [i.references[-1] for i in corpus],
+                        foreign):
+        report = evaluate(corpus, predictions, table=table)
+        assert [row["sari"] for row in report.per_sentence] == [
+            naive_sari_sentence(inst.source, pred, inst.references)
+            for inst, pred in zip(corpus, predictions)
+        ]
 
 
 def test_leave_one_out_counts_each_sentence_once(monkeypatch):
     from mbicl import metrics
 
-    calls = []
-    real = metrics.ngram_counts
+    tables, counters = [], []
+    real_table, real_counter = metrics.NgramTable.__init__, collections.Counter.__init__
 
-    def counting(tokens, order):
-        calls.append(order)
-        return real(tokens, order)
+    def table(self, instances, *args, **kwargs):
+        tables.append(instances)
+        real_table(self, instances, *args, **kwargs)
 
-    monkeypatch.setattr(metrics, "ngram_counts", counting)
+    def counter(self, *args, **kwargs):
+        counters.append(args)
+        real_counter(self, *args, **kwargs)
+
+    monkeypatch.setattr(metrics.NgramTable, "__init__", table)
+    monkeypatch.setattr(collections.Counter, "__init__", counter)
     refs = [f"The cat number {i} sat on the mat." for i in range(10)]
     corpus = make_corpus([("0", "The big cat sat down on the old mat.", refs)])
     scores = [p.score for p in score_pairs(corpus, "sari")]
-    # the kernel counts interned tokens, never through ngram_counts
-    assert calls == []
+    monkeypatch.undo()
+    # the kernel counts interned tokens of one table, never in a Counter
+    assert [list(t) for t in tables] == [list(corpus.instances)] and counters == []
     assert scores == naive_leave_one_out(corpus)
 
 
@@ -494,11 +507,11 @@ def test_leave_one_out_blocks_equal_the_naive_path():
     def words(lo, hi):
         return " ".join(rng.choice(letters) for _ in range(rng.randint(lo, hi)))
 
-    n = 2 * metrics._LOO_BLOCK + 5
+    n = 2 * metrics._BLOCK + 5
     rows = []
     for i in range(n):
         # the whole second block has sources too short for 4-grams
-        short = metrics._LOO_BLOCK <= i < 2 * metrics._LOO_BLOCK
+        short = metrics._BLOCK <= i < 2 * metrics._BLOCK
         source = words(1, 3) if short else words(1, 12)
         refs = [words(1, 10) for _ in range(rng.randint(2, 7))]
         if rng.random() < 0.3:
@@ -506,3 +519,140 @@ def test_leave_one_out_blocks_equal_the_naive_path():
         rows.append((str(i), source, refs))
     corpus = make_corpus(rows)
     assert leave_one_out_sari(corpus.instances) == naive_leave_one_out(corpus)
+    # one table of every block keeps each reference's row, as one block's does
+    table = NgramTable(corpus.instances, keep_reference_rows=True)
+    held_out = sari_rows(table, table.reference_rows, held_out=True)
+    assert held_out == naive_leave_one_out(corpus)
+
+
+# -- evaluation kernel ---------------------------------------------------
+
+# case: (rows of (id, source, references), a prediction per row, and the
+# corpus BLEU where the case pins it) whose evaluation must equal the naive
+# kernels exactly
+EVAL_EDGE_CASES = {
+    "tokens-no-sentence-has": (
+        [("0", "the cat sat", ["a cat sat", "the cat"]),
+         ("1", "it rained", ["rain fell"])],
+        ["the dog barked", "snow fell hard"], None,
+    ),
+    "predictions-of-1-to-3-tokens": (
+        [("0", "the cat sat on the mat", ["the cat sat", "a cat"]),
+         ("1", "he ran home", ["he ran", "he went home"]),
+         ("2", "she left early today", ["she left"])],
+        ["cat", "he ran", "she left early"], None,
+    ),
+    "prediction-equals-source-or-a-reference": (
+        [("0", "the old house was demolished", ["the house was torn down", "they left"]),
+         ("1", "a b c d", ["a b", "c d"])],
+        ["the old house was demolished", "c d"], None,
+    ),
+    "single-and-duplicate-references": (
+        [("0", "the big cat sat", ["the cat sat"]),
+         ("1", "the big dog ran", ["the dog ran", "the dog ran", "a dog ran"])],
+        ["the cat sat down", "the dog ran"], None,
+    ),
+    "repeated-source-n-gram": (
+        [("0", "the cat and the cat and the dog",
+          ["the cat and the dog", "the cat the cat"]),
+         ("1", "a a a a a", ["a a", "a a a"])],
+        ["the cat and the cat", "a a a a"], None,
+    ),
+    # "zz yy" is new to both instances, "y x" pairs two known tokens, and "p"
+    # is known only from the other instance
+    "one-unseen-n-gram-in-two-instances": (
+        [("0", "x y", ["x", "y z"]), ("1", "p q", ["p", "q r"])],
+        ["zz yy y x p", "zz yy q p"], None,
+    ),
+    "no-bleu-match": (
+        [("0", "a b c", ["a b"]), ("1", "d e", ["d"])], ["x y z w", "v u"], 0.0,
+    ),
+    # lengths 4 and 6 are both 1 from the prediction's 5: the shorter one
+    # leaves no brevity penalty, and every n-gram matches
+    "brevity-tie-takes-the-shorter-reference": (
+        [("0", "a b c d e f g", ["a b c d", "a b c d e f"])], ["a b c d e"], 100.0,
+    ),
+}
+
+
+def _assert_evaluation_equals_the_naive_path(corpus, predictions):
+    report = evaluate(corpus, predictions)
+    expected = [
+        naive_sari_sentence(inst.source, pred, inst.references)
+        for inst, pred in zip(corpus, predictions)
+    ]
+    assert [row["sari"] for row in report.per_sentence] == expected
+    assert report.sari == left_sum(expected) / len(expected)
+    refs = [inst.references for inst in corpus]
+    assert report.bleu == naive_bleu_corpus(predictions, refs)
+    return report
+
+
+@pytest.mark.parametrize("case", list(EVAL_EDGE_CASES))
+def test_evaluation_edge_cases_equal_the_naive_path(case):
+    rows, preds, bleu = EVAL_EDGE_CASES[case]
+    corpus, predictions = make_corpus(rows), [sent(p) for p in preds]
+    report = _assert_evaluation_equals_the_naive_path(corpus, predictions)
+    for inst, pred, row in zip(corpus, predictions, report.per_sentence):
+        assert sari_sentence(inst.source, pred, inst.references) == row["sari"]
+    assert bleu_corpus(predictions, [inst.references for inst in corpus]) == report.bleu
+    if bleu is not None:
+        assert report.bleu == bleu
+
+
+@st.composite
+def small_corpus(draw):
+    """Up to 20 instances, past one block, of 1-4 references over a
+    4-letter alphabet, and a prediction each that may hold letters no
+    sentence has."""
+    words = st.lists(st.sampled_from("abcd"), min_size=1, max_size=7).map(" ".join)
+    rows = [
+        (str(i), draw(words), draw(st.lists(words, min_size=1, max_size=4)))
+        for i in range(draw(st.integers(1, 20)))
+    ]
+    foreign = st.lists(st.sampled_from("abcdyz"), min_size=1, max_size=7).map(" ".join)
+    return rows, [draw(foreign) for _ in rows]
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_corpus())
+def test_evaluation_equals_the_naive_path_on_random_corpora(corpus_and_predictions):
+    rows, preds = corpus_and_predictions
+    _assert_evaluation_equals_the_naive_path(make_corpus(rows), [sent(p) for p in preds])
+
+
+# The tests that compare the kernels with the naive ones, or a mean with its
+# terms, by ==.
+EXACT_TESTS = [
+    *(f"tests/test_metrics.py::{name}" for name in (
+        "test_reference_tables_equal_the_naive_path_exactly",
+        "test_leave_one_out_tables_hold_the_other_references",
+        "test_shared_counts_equal_the_naive_path_exactly",
+        "test_leave_one_out_counts_each_sentence_once",
+        "test_leave_one_out_edge_cases_equal_the_naive_path",
+        "test_leave_one_out_skips_single_reference_instances",
+        "test_leave_one_out_blocks_equal_the_naive_path",
+        "test_evaluation_edge_cases_equal_the_naive_path",
+        "test_evaluation_equals_the_naive_path_on_random_corpora",
+    )),
+    "tests/test_evaluation.py::test_evaluate_mean_consistency",
+    "tests/test_evaluation.py::test_evaluate_counts_each_prediction_once",
+    "tests/test_selection.py::test_score_pairs_sari_leave_one_out",
+    "tests/test_acceptance.py::test_criterion_6_leave_one_out",
+    "tests/test_cli.py::test_evaluate_scores_a_grid_cell_as_the_grid_does",
+]
+
+
+def test_exact_tests_hold_under_a_compensated_sum():
+    # From Python 3.12 on, sum() compensates float rounding, so a == that
+    # rests on the order sum() adds in would break there. The plugin
+    # tests/compensated_sum.py puts such a sum in place of builtins.sum.
+    root = Path(__file__).resolve().parents[1]
+    paths = [str(root / "src"), str(root / "tests"), os.environ.get("PYTHONPATH")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "compensated_sum",
+         "-p", "no:cacheprovider", *EXACT_TESTS],
+        cwd=root, env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-2000:]

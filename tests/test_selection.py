@@ -1,3 +1,4 @@
+import collections
 import random
 
 import pytest
@@ -76,17 +77,18 @@ def test_score_pairs_sari_makes_no_per_pair_call(monkeypatch):
 
     calls = []
 
-    def spy(name):
-        real = getattr(metrics, name)
+    def spy(owner, name):
+        real = getattr(owner, name)
 
         def counted(*args, **kwargs):
             calls.append(name)
             return real(*args, **kwargs)
-        return counted
+        monkeypatch.setattr(owner, name, counted)
 
-    for name in ("ngram_counts", "sari_sentence"):
-        monkeypatch.setattr(metrics, name, spy(name))
-    monkeypatch.setattr(sel, "sari_sentence", spy("sari_sentence"))
+    spy(metrics, "sari_sentence")
+    spy(sel, "sari_sentence")
+    spy(metrics, "sari_rows")
+    spy(collections.Counter, "__init__")
     rng = random.Random(7)
     vocab = [f"w{i}" for i in range(300)]
 
@@ -98,8 +100,9 @@ def test_score_pairs_sari_makes_no_per_pair_call(monkeypatch):
     )
     pairs = score_pairs(corpus, "sari")
     assert len(pairs) == 2000
-    # one batched kernel; scoring per pair makes 2000 and 8800 of these calls
-    assert calls == []
+    # one kernel call per block of instances; scoring per pair made 2000
+    # sari_sentence calls, each counting n-grams in Counters
+    assert calls == ["sari_rows"] * -(-200 // metrics._BLOCK)
 
 
 def test_score_pairs_sari_rejects_single_reference():
