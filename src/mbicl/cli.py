@@ -13,13 +13,11 @@ from pathlib import Path
 import click
 
 from . import embeddings as emb
-from . import evaluation, llm, selection
+from . import evaluation, llm, metrics, selection
 from .corpus import Sentence, load_jsonl, load_parallel, read_lines
 from .errors import DataError, MbiclError
 from .llm import GenerationParams
 from .prompting import PromptTemplate, build_prompt, load_template
-
-ORDERING_CHOICES = [o.value for o in selection.Ordering]
 
 
 def _load_corpus(path, split="validation"):
@@ -47,7 +45,8 @@ def cli():
 
 @cli.command()
 @click.argument("corpus_path", type=click.Path(exists=True))
-@click.option("--metric", required=True, type=click.Choice(["sari", "cr", "bertprec"]))
+@click.option("--metric", required=True,
+              type=click.Choice([m.value for m in metrics.Metric]))
 @click.option("--embeddings", "embeddings_spec", default=None,
               help="test, file:<path>, or http:<url>")
 @click.option("-o", "--output", required=True, type=click.Path())
@@ -63,7 +62,8 @@ def score(corpus_path, metric, embeddings_spec, output):
 @cli.command()
 @click.argument("scores_path", type=click.Path(exists=True))
 @click.option("--k", required=True, type=int)
-@click.option("--ordering", default="high-to-low", type=click.Choice(ORDERING_CHOICES))
+@click.option("--ordering", default=selection.DEFAULT_ORDERING,
+              type=click.Choice([o.value for o in selection.Ordering]))
 @click.option("--seed", type=int, default=None)
 @click.option("-o", "--output", required=True, type=click.Path())
 def select(scores_path, k, ordering, seed, output):
@@ -96,7 +96,7 @@ _run_options = [
     click.option("--base-url", default=None),
     click.option("--api-key", default=None),
     click.option("--legacy-completions", is_flag=True, default=False),
-    click.option("--max-in-flight", type=int, default=4),
+    click.option("--max-in-flight", type=int, default=llm.MAX_IN_FLIGHT),
     click.option("--out-dir", required=True, type=click.Path()),
 ]
 
@@ -173,14 +173,15 @@ def evaluate_cmd(test_path, predictions_path, output):
 @click.option("--backend", "backend_name", default="mock-echo",
               type=click.Choice(llm.BACKENDS))
 @click.option("--template", "template_path", type=click.Path(exists=True), default=None)
-@click.option("--model", default="mock")
-@click.option("--temperature", type=float, default=0.7)
-@click.option("--max-tokens", type=int, default=256)
-@click.option("--top-p", type=float, default=1.0)
+@click.option("--model", default=GenerationParams.model_id)
+@click.option("--temperature", type=float, default=GenerationParams.temperature)
+@click.option("--max-tokens", type=int, default=GenerationParams.max_tokens)
+@click.option("--top-p", type=float, default=GenerationParams.top_p)
 @click.option("--method", default="sari", type=click.Choice(selection.METHODS))
-@click.option("--k-list", "k_values", default="1,2,4,6,8,10,15,20", callback=_int_list,
+@click.option("--k-list", "k_values", callback=_int_list,
+              default=",".join(map(str, evaluation.ExperimentConfig.k_values)),
               help="comma-separated k values; 0 means zero-shot")
-@click.option("--orderings", "orderings_csv", default="high-to-low",
+@click.option("--orderings", "orderings_csv", default=selection.DEFAULT_ORDERING,
               help="comma-separated ordering strategies")
 @click.option("--seed", "seeds", default=None, callback=_int_list,
               help="comma-separated seeds; required for random selection or ordering")

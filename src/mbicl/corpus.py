@@ -84,7 +84,7 @@ def read_lines(path):
     return lines
 
 
-def load_parallel(dir_path, name=None, split="validation"):
+def load_parallel(dir_path, split="validation"):
     """Load the complex.txt / ref.<i>.txt layout from *dir_path*."""
     dir_path = Path(dir_path)
     complex_path = dir_path / "complex.txt"
@@ -118,7 +118,7 @@ def load_parallel(dir_path, name=None, split="validation"):
         instances.append(
             InstanceGroup(id=str(i), source=Sentence.from_raw(src), references=refs)
         )
-    return Corpus(name=name or dir_path.name, split=split, instances=tuple(instances))
+    return Corpus(name=dir_path.name, split=split, instances=tuple(instances))
 
 
 def decode(text, build, path, lineno=1):
@@ -166,7 +166,7 @@ def _instance_from_json(obj):
     )
 
 
-def load_jsonl(file_path, name=None, split="validation"):
+def load_jsonl(file_path, split="validation"):
     """Load the one-object-per-line JSONL layout from *file_path*."""
     seen = set()
 
@@ -179,7 +179,7 @@ def load_jsonl(file_path, name=None, split="validation"):
 
     file_path = Path(file_path)
     instances = read_jsonl(file_path, build)
-    return Corpus(name=name or file_path.stem, split=split, instances=tuple(instances))
+    return Corpus(name=file_path.stem, split=split, instances=tuple(instances))
 
 
 def save_jsonl(corpus, file_path):

@@ -12,13 +12,13 @@ import csv
 import json
 import operator
 from dataclasses import asdict, dataclass, field, fields
-from functools import reduce
+from functools import cache, reduce
 from pathlib import Path
 
 from . import selection as sel
 from .corpus import decode
 from .errors import DataError, MbiclError, UsageError
-from .llm import BACKENDS, CompletionClient, GenerationParams
+from .llm import BACKENDS, MAX_IN_FLIGHT, CompletionClient, GenerationParams
 from .metrics import MAX_ORDER, NgramTable
 # bench/spans.py times the SARI and BLEU layers by these two names, until the
 # library counts its own run statistics (ROADMAP item 4); evaluate calls each
@@ -26,8 +26,6 @@ from .metrics import MAX_ORDER, NgramTable
 from .metrics import bleu_counts as bleu_corpus
 from .metrics import sari_rows as sari_sentence
 from .prompting import PromptTemplate, build_prompt, parse_completion
-
-DEFAULT_K_GRID = (1, 2, 4, 6, 8, 10, 15, 20)
 
 
 @dataclass(frozen=True)
@@ -79,13 +77,13 @@ class ExperimentConfig:
     test_corpus: object  # Corpus prompts are evaluated on
     client: CompletionClient
     selection_method: str  # one of selection.METHODS
-    k_values: tuple = DEFAULT_K_GRID
-    orderings: tuple = (sel.Ordering.HIGH_TO_LOW.value,)
+    k_values: tuple = (1, 2, 4, 6, 8, 10, 15, 20)  # the full k grid
+    orderings: tuple = (sel.DEFAULT_ORDERING,)
     seeds: tuple = ()
     template: PromptTemplate = field(default_factory=PromptTemplate)
     params: GenerationParams = field(default_factory=GenerationParams)
     embedding_backend: object = None
-    max_in_flight: int = 4
+    max_in_flight: int = MAX_IN_FLIGHT
     cells: tuple = field(init=False)  # (k, ordering, seed) of every cell
 
     def __post_init__(self):
@@ -137,7 +135,7 @@ class ExperimentConfig:
             raise UsageError(f"unknown completion backend {backend!r}")
         config = cls(
             tune_corpus, test_corpus, None, method,
-            k_values=(k,), orderings=(ordering or sel.Ordering.HIGH_TO_LOW.value,),
+            k_values=(k,), orderings=(ordering or sel.DEFAULT_ORDERING,),
             seeds=() if seed is None else (seed,), max_in_flight=max_in_flight,
             template=PromptTemplate(**manifest["template"]),
             params=GenerationParams(**manifest["params"]),
@@ -172,36 +170,34 @@ def cell_seeds(method, ordering, seeds):
     return tuple(seeds)
 
 
-def _examples(config, scored_cache, k, ordering, seed):
+def _rankings(config):
+    """The grid's ranked candidates: one ranking per test query for KATE, one
+    shared by every test query for a scoring metric."""
+    tune, embedder = config.tune_corpus, config.embedding_backend
+    if config.selection_method == "kate":
+        queries = [inst.source for inst in config.test_corpus]
+        return sel.kate_select(tune, queries, max(config.k_values), embedder)
+    return [sel.score_pairs(tune, config.selection_method, embedder)]
+
+
+def _examples(config, rankings, k, ordering, seed):
     """One tuple of pairs per test instance, and the manifest's selected_pairs.
 
-    Pairs are scored once per grid, into *scored_cache*. KATE ranks them per
-    test query, and each query gets its own top k, most similar last; every
-    other method shares one set across the test corpus. k 0 has no examples.
+    A cell orders the top k of each of rankings(), the grid's _rankings, or
+    random selection's own draw. KATE follows the ordering as every method
+    does: high-to-low puts the most similar example first. k 0 has no
+    examples. KATE records the sorted union of the instance ids it showed.
     """
-    method = config.selection_method
     if k == 0:
         return [()] * len(config.test_corpus), []
-    if method == "kate":
-        if method not in scored_cache:
-            scored_cache[method] = sel.kate_select(
-                config.tune_corpus, [inst.source for inst in config.test_corpus],
-                max(config.k_values), config.embedding_backend)
-        examples = [
-            sel.order_examples(sel.select_top_k(pairs, k), sel.Ordering.LOW_TO_HIGH)
-            for pairs in scored_cache[method]
-        ]
-        return examples, sorted({p.instance_id for pairs in examples for p in pairs})
-    if method == "random":
-        chosen = sel.random_select(config.tune_corpus, k, seed)
+    if config.selection_method == "random":
+        chosen = [sel.random_select(config.tune_corpus, k, seed)]
     else:
-        if method not in scored_cache:
-            scored_cache[method] = sel.score_pairs(
-                config.tune_corpus, method, config.embedding_backend
-            )
-        chosen = sel.select_top_k(scored_cache[method], k)
-    chosen = sel.order_examples(chosen, ordering, seed)
-    return [chosen] * len(config.test_corpus), [sel.pair_ref(p) for p in chosen]
+        chosen = [sel.select_top_k(ranking, k) for ranking in rankings()]
+    examples = [sel.order_examples(pairs, ordering, seed) for pairs in chosen]
+    if config.selection_method == "kate":
+        return examples, sorted({p.instance_id for pairs in examples for p in pairs})
+    return examples * len(config.test_corpus), [sel.pair_ref(p) for p in examples[0]]
 
 
 def run_cell(config, examples, selected_pairs, k, ordering, seed, table=None):
@@ -252,20 +248,20 @@ def run_experiment(config):
 
     Returns (reports, failures) where failures maps cell id to the error.
     """
-    scored_cache = {}
+    rankings = cache(lambda: _rankings(config))
     table = NgramTable(config.test_corpus.instances)
     reports = []
     failures = {}
     for k, ordering, seed in config.cells:
         try:
-            chosen = _examples(config, scored_cache, k, ordering, seed)
+            chosen = _examples(config, rankings, k, ordering, seed)
             reports.append(run_cell(config, *chosen, k, ordering, seed, table))
         except MbiclError as exc:
             failures[cell_id(config.selection_method, k, ordering, seed)] = exc
     return reports, failures
 
 
-def replay(text, path, tune_corpus, test_corpus, make_client, max_in_flight=4):
+def replay(text, path, tune_corpus, test_corpus, make_client, max_in_flight):
     """Rerun the cell of the report *text*, read from *path*, from its
     manifest; a fault in the report is a DataError naming ``path:1``.
     make_client(name) makes the backend's client after the report is read,

@@ -26,6 +26,7 @@ from .prompting import COMPLEX_MARKER, SIMPLE_MARKER
 API_KEY_ENV = "MBICL_API_KEY"
 BASE_URL_ENV = "MBICL_BASE_URL"
 TIMEOUT_S = 120  # seconds per completion request
+MAX_IN_FLIGHT = 4  # concurrent completions of a batch_complete call
 BACKENDS = ("http", "mock-echo", "mock-first-reference")  # make_backend's names
 _sleep = time.sleep  # post_json's backoff; a test replaces this, not time.sleep
 
@@ -310,7 +311,7 @@ class CompletionClient:
             self.cache.put(record)
         return record
 
-    def batch_complete(self, prompts, params, max_in_flight=4):
+    def batch_complete(self, prompts, params, max_in_flight=MAX_IN_FLIGHT):
         """Complete all prompts, results in input order.
 
         Failures are isolated: each slot holds either a GenerationRecord or

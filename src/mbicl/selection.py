@@ -28,14 +28,16 @@ log = logging.getLogger(__name__)
 # (the simple side restates the complex side) and dropped from selection.
 DUPLICATE_SCORE = 1.0 - 1e-9
 
-# The methods a grid or a report may name.
-METHODS = ("sari", "cr", "bertprec", "random", "kate", "zero-shot")
-
 
 class Ordering(str, Enum):
     HIGH_TO_LOW = "high-to-low"
     LOW_TO_HIGH = "low-to-high"
     RANDOM = "random"
+
+
+# The methods a grid or a report may name.
+METHODS = ("sari", "cr", "bertprec", "random", "kate", "zero-shot")
+DEFAULT_ORDERING = Ordering.HIGH_TO_LOW.value  # the best-scoring example first
 
 
 @dataclass(frozen=True)

@@ -118,7 +118,7 @@ def test_load_jsonl_parse_error(tmp_path):
 def test_jsonl_round_trip(tmp_path, toy_corpus):
     p = tmp_path / "out.jsonl"
     save_jsonl(toy_corpus, p)
-    reloaded = load_jsonl(p, name=toy_corpus.name)
+    reloaded = load_jsonl(p)
     assert len(reloaded) == len(toy_corpus)
     for a, b in zip(toy_corpus, reloaded):
         assert a.id == b.id
@@ -130,10 +130,10 @@ def test_parallel_and_jsonl_agree(tmp_path):
     sources = ["A big cat.", "A small dog."]
     refs = [["A cat.", "A dog."], ["Big cat.", "Small dog."]]
     d = make_parallel_dir(tmp_path, sources, refs)
-    parallel = load_parallel(d, name="x")
+    parallel = load_parallel(d)
     p = tmp_path / "same.jsonl"
     save_jsonl(parallel, p)
-    jsonl = load_jsonl(p, name="x")
+    jsonl = load_jsonl(p)
     assert [i.source.raw for i in parallel] == [i.source.raw for i in jsonl]
     assert [i.id for i in parallel] == [i.id for i in jsonl]
 

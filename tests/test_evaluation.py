@@ -326,21 +326,48 @@ def test_kate_grid_matches_brute_force_and_embeds_each_sentence_once(
         queries[0].tokens, *sources, *(q.tokens for q in queries[1:])
     ]
 
-    expected = []
+    rankings = []
     for query in queries:
         qv = embed_sentence(query, HashBackend())
-        ranked = sorted(
+        rankings.append(sorted(
             toy_corpus,
             key=lambda i: (-cosine(embed_sentence(i.source, HashBackend()), qv), i.id),
-        )
-        for k in (1, 2, 3):
-            pairs = tuple(  # most similar last, next to the query
-                ScoredPair(i.id, 0, i.source, i.references[0], "kate", None)
-                for i in reversed(ranked[:k])
-            )
-            expected.append(build_prompt(PromptTemplate(), pairs, query).text)
-    # each k runs once per ordering, with the same prompts
-    assert sorted(backend.prompts) == sorted(expected * 2)
+        ))
+    expected = []
+    for k in (1, 2, 3):
+        # high-to-low: most similar first; low-to-high: most similar last
+        for arrange in (list, reversed):
+            for query, ranked in zip(queries, rankings):
+                pairs = tuple(
+                    ScoredPair(i.id, 0, i.source, i.references[0], "kate", None)
+                    for i in arrange(ranked[:k])
+                )
+                expected.append(build_prompt(PromptTemplate(), pairs, query).text)
+    assert backend.prompts == expected
+
+
+@pytest.mark.parametrize("method", ["sari", "cr", "bertprec", "kate"])
+def test_low_to_high_cells_prompt_the_high_to_low_examples_reversed(
+    method, toy_corpus, echo_corpus
+):
+    backend = RecordingBackend()
+    config = config_for(
+        toy_corpus,
+        echo_corpus,
+        CompletionClient(backend),
+        selection_method=method,
+        k_values=(2,),
+        orderings=("high-to-low", "low-to-high"),
+        embedding_backend=HashBackend(),
+        max_in_flight=1,
+    )
+    reports, failures = run_experiment(config)
+    assert not failures and len(reports) == 2
+    n, separator = len(echo_corpus), PromptTemplate().separator
+    for high, low in zip(backend.prompts[:n], backend.prompts[n:], strict=True):
+        instruction, *examples, query = high.split(separator)
+        assert len(set(examples)) == 2
+        assert low.split(separator) == [instruction, *reversed(examples), query]
 
 
 def test_kate_and_bertprec_grids_hash_each_distinct_token_once(

@@ -266,7 +266,7 @@ def test_kate_select_orders_most_similar_last(toy_corpus):
     [ranked] = kate_select(toy_corpus, [query], 3, backend)
     sims = [p.score for p in ranked]
     assert sims == sorted(sims, reverse=True)  # ranked, most similar first
-    # a KATE cell prompts with its top k the other way round
+    # a low-to-high cell prompts with its top k the other way round
     chosen = order_examples(select_top_k(ranked, 3), Ordering.LOW_TO_HIGH)
     sims = [p.score for p in chosen]
     assert sims == sorted(sims)  # ascending, nearest adjacent to the query
