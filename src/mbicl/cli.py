@@ -38,6 +38,12 @@ def _int_list(ctx, param, value):
         raise click.BadParameter(f"not a list of integers: {value!r}") from None
 
 
+def _max_in_flight(ctx, param, value):
+    if value < 1:  # batch_complete's own check, made before any corpus is read
+        raise click.BadParameter("max_in_flight must be >= 1")
+    return value
+
+
 @click.group()
 def cli():
     """Metric-based example selection for in-context text simplification."""
@@ -96,7 +102,8 @@ _run_options = [
     click.option("--base-url", default=None),
     click.option("--api-key", default=None),
     click.option("--legacy-completions", is_flag=True, default=False),
-    click.option("--max-in-flight", type=int, default=llm.MAX_IN_FLIGHT),
+    click.option("--max-in-flight", type=int, default=llm.MAX_IN_FLIGHT,
+                 callback=_max_in_flight),
     click.option("--out-dir", required=True, type=click.Path()),
 ]
 

@@ -18,7 +18,7 @@ from pathlib import Path
 from . import selection as sel
 from .corpus import decode
 from .errors import DataError, MbiclError, UsageError
-from .llm import BACKENDS, MAX_IN_FLIGHT, CompletionClient, GenerationParams
+from .llm import BACKENDS, MAX_IN_FLIGHT, CompletionClient, GenerationParams, field_dict
 from .metrics import MAX_ORDER, NgramTable
 # bench/spans.py times the SARI and BLEU layers by these two names, until the
 # library counts its own run statistics (ROADMAP item 4); evaluate calls each
@@ -41,7 +41,7 @@ class EvalReport:
     bleu: float
 
     def to_json(self):
-        text = json.dumps(asdict(self), sort_keys=True, ensure_ascii=False, indent=2)
+        text = json.dumps(field_dict(self), sort_keys=True, ensure_ascii=False, indent=2)
         return text + "\n"
 
 

@@ -14,7 +14,7 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import requests
@@ -49,10 +49,15 @@ class GenerationParams:
             raise UsageError("max_tokens must be >= 1")
 
 
+def field_dict(obj):
+    """A dataclass's fields as a dict: asdict without its deep copy."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
 def request_digest(prompt_text, params):
     """Cache key: hash of the prompt text, model id, and sampling params."""
     payload = json.dumps(
-        {"prompt": prompt_text, "params": asdict(params)},
+        {"prompt": prompt_text, "params": field_dict(params)},
         sort_keys=True,
         ensure_ascii=False,
     )
@@ -71,7 +76,8 @@ class GenerationRecord:
 
 
 def _record_to_json(record):
-    return json.dumps(asdict(record), sort_keys=True, ensure_ascii=False)
+    obj = {**field_dict(record), "params": field_dict(record.params)}
+    return json.dumps(obj, sort_keys=True, ensure_ascii=False)
 
 
 def _record_from_json(obj):
@@ -315,7 +321,7 @@ class CompletionClient:
         """Complete all prompts, results in input order.
 
         Failures are isolated: each slot holds either a GenerationRecord or
-        the exception that killed it.
+        the exception that killed it. One in flight runs in the calling thread.
         """
         if max_in_flight < 1:
             raise UsageError("max_in_flight must be >= 1")
@@ -326,6 +332,8 @@ class CompletionClient:
             except BackendError as exc:
                 return exc
 
+        if max_in_flight == 1:
+            return [one(prompt) for prompt in prompts]
         with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
             return list(pool.map(one, prompts))
 

@@ -790,6 +790,26 @@ def test_bad_argument_is_usage_error(case, corpus_file, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["grid", "run"])
+def test_max_in_flight_0_is_rejected_before_any_work(
+    command, corpus_file, tmp_path, capsys, monkeypatch
+):
+    def no_load(*args, **kwargs):
+        raise AssertionError("a corpus was loaded")
+
+    monkeypatch.setattr("mbicl.cli._load_corpus", no_load)
+    message, args = BAD_ARGUMENTS["grid --max-in-flight 0"]
+    if command == "run":
+        args = (*_RUN, corpus_file, "--max-in-flight", "0")
+    paths = {"dev": corpus_file, "test": FIXTURES / "echo_corpus.jsonl",
+             "out": tmp_path / "out"}
+    code, _, err = run_cli(capsys, *(str(a).format(**paths) for a in args))
+    assert code == 1
+    assert "error: " in err and message in err
+    assert not any(line.startswith("cell ") for line in err.splitlines())
+    assert not (tmp_path / "out" / "grid.csv").exists()
+
+
 def test_run_whose_every_cell_fails_reports_the_cell(corpus_file, tmp_path, capsys):
     code, _, err = run_cli(
         capsys, *_run_args(corpus_file, tmp_path), "--method", "bertprec",

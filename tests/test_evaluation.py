@@ -1,4 +1,6 @@
 import collections
+import dataclasses
+import json
 
 import pytest
 
@@ -435,3 +437,20 @@ def test_report_emission(toy_corpus, echo_corpus, tmp_path):
     assert len(lines) == 3
     table = format_grid_table(reports)
     assert "SARI" in table and len(table.splitlines()) == 4
+
+
+@pytest.mark.parametrize("method, k_values", [
+    ("cr", (1, 2)), ("kate", (1, 2)), ("zero-shot", (0,)),
+])
+def test_report_json_keeps_the_asdict_bytes(method, k_values, toy_corpus, echo_corpus):
+    config = config_for(
+        toy_corpus, echo_corpus, echo_client(), selection_method=method,
+        k_values=k_values, orderings=("high-to-low", "low-to-high"),
+        embedding_backend=HashBackend(),
+    )
+    reports, failures = run_experiment(config)
+    assert not failures and reports
+    for report in reports:
+        assert report.to_json() == json.dumps(
+            dataclasses.asdict(report), sort_keys=True, ensure_ascii=False, indent=2
+        ) + "\n"

@@ -1,4 +1,6 @@
+import dataclasses
 import fcntl
+import hashlib
 import json
 import os
 import subprocess
@@ -22,9 +24,11 @@ from mbicl import (
 )
 from mbicl.errors import BackendError, DataError
 from mbicl.llm import (
+    GenerationRecord,
     HttpBackend,
     MockEchoBackend,
     MockFirstReferenceBackend,
+    _record_to_json,
     request_digest,
 )
 
@@ -119,6 +123,56 @@ def test_digest_covers_params():
     b = request_digest("text", GenerationParams(temperature=0.0))
     c = request_digest("other", GenerationParams())
     assert len({a, b, c}) == 3
+
+
+# The digest and the cache line are keyed and read by every existing cache:
+# their bytes must not change.
+def test_digest_bytes_are_pinned():
+    prompt = prompt_for("A cat sat.")
+    assert prompt.text == (
+        "Simplify the following complex sentences.\n\n"
+        "Complex sentence: A cat sat.\nSimple sentence:"
+    )
+    assert request_digest(prompt.text, GenerationParams()) == (
+        "9ee6bea75615b6696888887fffc372409d5af356d22c6d374f959e691a26f024"
+    )
+
+
+EDGE_REQUESTS = {
+    "int temperature": ("A cat.", GenerationParams(temperature=1)),
+    "negative zero penalty": ("A cat.", GenerationParams(frequency_penalty=-0.0)),
+    "non-ASCII model id": ("A cat.", GenerationParams(model_id="modèle-β")),
+    "U+2028 in the prompt": ("A cat\u2028sat.", GenerationParams()),
+}
+
+
+@pytest.mark.parametrize("case", list(EDGE_REQUESTS))
+def test_digest_and_cache_line_keep_the_asdict_bytes(case):
+    prompt_text, params = EDGE_REQUESTS[case]
+    payload = json.dumps({"prompt": prompt_text, "params": dataclasses.asdict(params)},
+                         sort_keys=True, ensure_ascii=False)
+    digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    assert request_digest(prompt_text, params) == digest
+    record = GenerationRecord(
+        digest=digest, prompt_text=prompt_text, completion_text="A cat.",
+        model_id=params.model_id, params=params, backend="mock-echo",
+        timestamp=1.5,
+    )
+    assert _record_to_json(record) == json.dumps(
+        dataclasses.asdict(record), sort_keys=True, ensure_ascii=False
+    )
+
+
+def test_digest_tells_equal_params_of_other_types_apart():
+    # 1 == 1.0 and -0.0 == 0.0, but their JSON differs, and so do the keys
+    # that existing caches hold for them
+    assert GenerationParams(temperature=1) == GenerationParams(temperature=1.0)
+    assert request_digest("x", GenerationParams(temperature=1)) != request_digest(
+        "x", GenerationParams(temperature=1.0)
+    )
+    assert request_digest("x", GenerationParams(frequency_penalty=-0.0)) != (
+        request_digest("x", GenerationParams(frequency_penalty=0.0))
+    )
 
 
 def test_record_digest_recomputes(tmp_path):
@@ -274,6 +328,37 @@ def test_batch_complete_sequential():
         "Cat number 0.", "Cat number 1.", "Cat number 2."
     ]
     assert backend.calls == 3
+
+
+class ThreadRecordingBackend(MockEchoBackend):
+    """Echoes, but fails a query holding "fail"; records each call's thread."""
+
+    def __init__(self):
+        self.threads = []
+
+    def generate(self, prompt_text, params):
+        self.threads.append(threading.current_thread())
+        completion = super().generate(prompt_text, params)
+        if "fail" in completion:
+            raise BackendError(f"failed {completion!r}")
+        return completion
+
+
+def test_batch_complete_of_one_in_flight_runs_in_the_calling_thread(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was built")
+
+    monkeypatch.setattr(mbicl.llm, "ThreadPoolExecutor", no_pool)
+    backend = ThreadRecordingBackend()
+    results = CompletionClient(backend).batch_complete(
+        [prompt_for(q) for q in ("Cat one.", "Cats fail.", "Cat two.")],
+        PARAMS, max_in_flight=1,
+    )
+    assert backend.threads == [threading.current_thread()] * 3
+    assert results[0].completion_text == "Cat one."
+    assert isinstance(results[1], BackendError)
+    assert str(results[1]) == "failed 'Cats fail.'"
+    assert results[2].completion_text == "Cat two."
 
 
 # -- HTTP backend --------------------------------------------------------
