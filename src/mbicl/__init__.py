@@ -4,15 +4,8 @@ simplification."""
 __version__ = "0.1.0"
 
 from .corpus import Corpus, InstanceGroup, Sentence, load_jsonl, load_parallel, tokenize
-from .metrics import (
-    Metric,
-    bertscore_precision,
-    bleu_corpus,
-    compression_ratio,
-    sari_sentence,
-)
+from .metrics import bertscore_precision, bleu_corpus, compression_ratio, sari_sentence
 from .selection import (
-    Ordering,
     ScoredPair,
     kate_select,
     order_examples,
@@ -31,12 +24,10 @@ __all__ = [
     "load_jsonl",
     "load_parallel",
     "tokenize",
-    "Metric",
     "bertscore_precision",
     "bleu_corpus",
     "compression_ratio",
     "sari_sentence",
-    "Ordering",
     "ScoredPair",
     "kate_select",
     "order_examples",

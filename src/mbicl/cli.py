@@ -13,7 +13,7 @@ from pathlib import Path
 import click
 
 from . import embeddings as emb
-from . import evaluation, llm, metrics, selection
+from . import evaluation, llm, selection
 from .corpus import Sentence, load_jsonl, load_parallel, read_lines
 from .errors import DataError, MbiclError
 from .llm import GenerationParams
@@ -51,8 +51,7 @@ def cli():
 
 @cli.command()
 @click.argument("corpus_path", type=click.Path(exists=True))
-@click.option("--metric", required=True,
-              type=click.Choice([m.value for m in metrics.Metric]))
+@click.option("--metric", required=True, type=click.Choice(selection.METRICS))
 @click.option("--embeddings", "embeddings_spec", default=None,
               help="test, file:<path>, or http:<url>")
 @click.option("-o", "--output", required=True, type=click.Path())
@@ -69,7 +68,7 @@ def score(corpus_path, metric, embeddings_spec, output):
 @click.argument("scores_path", type=click.Path(exists=True))
 @click.option("--k", required=True, type=int)
 @click.option("--ordering", default=selection.DEFAULT_ORDERING,
-              type=click.Choice([o.value for o in selection.Ordering]))
+              type=click.Choice(selection.ORDERINGS))
 @click.option("--seed", type=int, default=None)
 @click.option("-o", "--output", required=True, type=click.Path())
 def select(scores_path, k, ordering, seed, output):

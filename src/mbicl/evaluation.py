@@ -11,7 +11,7 @@ the cell from the tune and test corpora, against the cache.
 import csv
 import json
 import operator
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from functools import cache, reduce
 from pathlib import Path
 
@@ -94,12 +94,11 @@ class ExperimentConfig:
         listed = (self.k_values, self.orderings, self.seeds)
         if any(len(set(values)) < len(values) for values in listed):
             raise UsageError("a k value, ordering or seed is listed twice")
-        if self.selection_method not in sel.METHODS:
-            raise UsageError(f"unknown selection method {self.selection_method!r}")
+        sel.check_name("selection method", self.selection_method, sel.METHODS)
         if self.selection_method == "zero-shot" and set(self.k_values) != {0}:
             raise UsageError("zero-shot runs only at k 0 (--k-list 0)")
         for ordering in self.orderings:
-            sel.member(sel.Ordering, ordering)
+            sel.check_name("ordering", ordering, sel.ORDERINGS)
         cells = []
         for k in self.k_values:
             if k == 0:
@@ -115,8 +114,8 @@ class ExperimentConfig:
             "tune_corpus": self.tune_corpus.name,
             "test_corpus": self.test_corpus.name,
             "selection_method": self.selection_method,
-            "template": asdict(self.template),
-            "params": asdict(self.params),
+            "template": field_dict(self.template),
+            "params": field_dict(self.params),
             "backend": self.client.backend.name,
             "bleu_order": MAX_ORDER,
         }
@@ -131,8 +130,7 @@ class ExperimentConfig:
         if method == "kate" and k != 0:
             raise DataError("a KATE report does not record each query's pairs")
         backend = manifest["backend"]
-        if backend not in BACKENDS:
-            raise UsageError(f"unknown completion backend {backend!r}")
+        sel.check_name("completion backend", backend, BACKENDS)
         config = cls(
             tune_corpus, test_corpus, None, method,
             k_values=(k,), orderings=(ordering or sel.DEFAULT_ORDERING,),
@@ -162,8 +160,7 @@ def cell_seeds(method, ordering, seeds):
     A cell that draws no random numbers runs once, with seed None; a random
     selection or ordering runs once per seed and needs at least one.
     """
-    ordering = sel.member(sel.Ordering, ordering)
-    if method != "random" and ordering is not sel.Ordering.RANDOM:
+    if method != "random" and ordering != "random":
         return (None,)
     if not seeds or None in seeds:
         raise UsageError("random selection or ordering needs --seed")

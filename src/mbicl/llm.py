@@ -26,7 +26,7 @@ from .prompting import COMPLEX_MARKER, SIMPLE_MARKER
 API_KEY_ENV = "MBICL_API_KEY"
 BASE_URL_ENV = "MBICL_BASE_URL"
 TIMEOUT_S = 120  # seconds per completion request
-MAX_IN_FLIGHT = 4  # concurrent completions of a batch_complete call
+MAX_IN_FLIGHT = 1  # concurrent completions of a batch_complete call
 BACKENDS = ("http", "mock-echo", "mock-first-reference")  # make_backend's names
 _sleep = time.sleep  # post_json's backoff; a test replaces this, not time.sleep
 
@@ -232,11 +232,15 @@ class ResponseCache:
     Each line must parse and its stored digest must match a recomputation
     from the stored fields. A damaged line (e.g. a crash mid-append) is
     moved to ``<path>.quarantine`` instead of being silently reused; every
-    good line, before or after it, is kept.
+    good line, before or after it, is kept. A missing directory of *path* is
+    created; a *path* that is a directory is a UsageError.
     """
 
     def __init__(self, path):
         self.path = Path(path)
+        if self.path.is_dir():
+            raise UsageError(f"the cache {str(path)!r} is a directory")
+        self.path.parent.mkdir(parents=True, exist_ok=True)
         self._records = {}
         self._lock = threading.Lock()
         self._load()

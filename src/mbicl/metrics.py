@@ -11,7 +11,6 @@ p + r = 0 is 0.
 
 import math
 from collections import namedtuple
-from enum import Enum
 from itertools import chain, count, filterfalse
 from types import SimpleNamespace
 
@@ -20,14 +19,6 @@ import numpy as np
 from .errors import DataError
 
 MAX_ORDER = 4  # SARI and BLEU both score n-gram orders 1..4
-
-
-class Metric(str, Enum):
-    """The metrics that score (complex, reference) pairs for selection."""
-
-    SARI = "sari"
-    CR = "cr"
-    BERTPREC = "bertprec"
 
 
 def compression_ratio(source, simple):

@@ -10,13 +10,12 @@ import json
 import logging
 import random
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 
 from . import embeddings as emb
 from .corpus import Sentence, read_jsonl
 from .errors import DataError, UsageError
-from .metrics import Metric, bertscore_precision, compression_ratio, leave_one_out_sari
+from .metrics import bertscore_precision, compression_ratio, leave_one_out_sari
 
 # Unused here: bench/spans.py traces selection.sari_sentence by this name,
 # until the library counts its own run statistics (ROADMAP item 4).
@@ -29,15 +28,12 @@ log = logging.getLogger(__name__)
 DUPLICATE_SCORE = 1.0 - 1e-9
 
 
-class Ordering(str, Enum):
-    HIGH_TO_LOW = "high-to-low"
-    LOW_TO_HIGH = "low-to-high"
-    RANDOM = "random"
-
-
-# The methods a grid or a report may name.
-METHODS = ("sari", "cr", "bertprec", "random", "kate", "zero-shot")
-DEFAULT_ORDERING = Ordering.HIGH_TO_LOW.value  # the best-scoring example first
+# The metrics that score (complex, reference) pairs for selection, the
+# methods a grid or a report may name, and the orderings of a cell's examples.
+METRICS = ("sari", "cr", "bertprec")
+METHODS = (*METRICS, "random", "kate", "zero-shot")
+ORDERINGS = ("high-to-low", "low-to-high", "random")
+DEFAULT_ORDERING = ORDERINGS[0]  # the best-scoring example first
 
 
 @dataclass(frozen=True)
@@ -54,12 +50,10 @@ class ScoredPair:
         return (self.instance_id, self.reference_index)
 
 
-def member(enum, value):
-    """The member of *enum* with *value*; an unknown value is a UsageError."""
-    try:
-        return enum(value)
-    except ValueError:
-        raise UsageError(f"unknown {enum.__name__.lower()} {value!r}") from None
+def check_name(kind, value, names):
+    """Raise a UsageError naming *kind* unless *value* is one of *names*."""
+    if value not in names:
+        raise UsageError(f"unknown {kind} {value!r}")
 
 
 def _candidate_pairs(corpus):
@@ -79,12 +73,12 @@ def score_pairs(corpus, metric, embedding_backend=None):
     Output is in canonical order: corpus instance order, then reference
     index, so parallel scoring would be unobservable.
     """
-    metric = member(Metric, metric)
+    check_name("metric", metric, METRICS)
     if len(corpus) == 0:
         raise DataError("cannot score an empty corpus")
-    if metric is Metric.BERTPREC and embedding_backend is None:
+    if metric == "bertprec" and embedding_backend is None:
         raise UsageError("BERTScore precision needs --embeddings")
-    if metric is Metric.SARI:
+    if metric == "sari":
         scored = [inst for inst in corpus if inst.n_references >= 2]
         if not scored:
             raise DataError(
@@ -94,21 +88,21 @@ def score_pairs(corpus, metric, embedding_backend=None):
             log.warning("skipped %d single-reference instance(s) for SARI scoring",
                         len(corpus) - len(scored))
         scores = leave_one_out_sari(scored)
-        return [_pair(inst, j, metric.value, score) for (inst, j, _), score
+        return [_pair(inst, j, metric, score) for (inst, j, _), score
                 in zip(_candidate_pairs(scored), scores, strict=True)]
 
     pairs = []
     for inst, j, ref in _candidate_pairs(corpus):
-        if metric is Metric.CR:
+        if metric == "cr":
             score = compression_ratio(inst.source, ref)
-        else:  # Metric.BERTPREC
+        else:  # bertprec
             cand = emb.embed_tokens(ref, embedding_backend)
             if j == 0:
                 source = emb.embed_tokens(inst.source, embedding_backend)
             score = bertscore_precision(cand, source)
             if score >= DUPLICATE_SCORE:
                 continue
-        pairs.append(_pair(inst, j, metric.value, score))
+        pairs.append(_pair(inst, j, metric, score))
     return pairs
 
 
@@ -139,11 +133,11 @@ def order_examples(pairs, ordering, seed=None):
     Random ordering uses a Fisher-Yates shuffle driven by Python's seeded
     Mersenne Twister; same seed, same order, within this implementation.
     """
-    ordering = member(Ordering, ordering)
+    check_name("ordering", ordering, ORDERINGS)
     pairs = list(pairs)
-    if ordering is Ordering.HIGH_TO_LOW:
+    if ordering == "high-to-low":
         pairs.sort(key=_rank_key)
-    elif ordering is Ordering.LOW_TO_HIGH:
+    elif ordering == "low-to-high":
         pairs.sort(key=_rank_key, reverse=True)
     else:
         if seed is None:

@@ -10,6 +10,7 @@ import pytest
 
 import mbicl
 from conftest import FIXTURES, http_reply, make_corpus
+from mbicl import llm, selection
 from mbicl.cli import cli, main
 from mbicl.corpus import save_jsonl
 from mbicl.errors import BackendError, DataError, MbiclError, UsageError
@@ -808,6 +809,57 @@ def test_max_in_flight_0_is_rejected_before_any_work(
     assert "error: " in err and message in err
     assert not any(line.startswith("cell ") for line in err.splitlines())
     assert not (tmp_path / "out" / "grid.csv").exists()
+
+
+def test_grid_at_one_or_four_in_flight_writes_the_same_bytes(corpus_file, tmp_path, capsys):
+    outputs, digests = {}, {}
+    for n in ("1", "4"):
+        cache = tmp_path / f"cache{n}.jsonl"
+        code, _, _ = run_cli(
+            capsys, "grid", "--tune", corpus_file, "--test", FIXTURES / "echo_corpus.jsonl",
+            "--cache", cache, "--method", "cr", "--k-list", "0,1,2",
+            "--orderings", "high-to-low,random", "--seed", "0,1",
+            "--max-in-flight", n, "--out-dir", tmp_path / n,
+        )
+        assert code == 0
+        outputs[n] = {p.name: p.read_bytes() for p in (tmp_path / n).iterdir()}
+        digests[n] = {json.loads(line)["digest"] for line in cache.read_text().splitlines()}
+    assert len(outputs["1"]) == 8  # k 0; k 1 and 2 x (high-to-low, 2 seeds); grid.csv
+    assert outputs["1"] == outputs["4"]
+    assert digests["1"] == digests["4"]
+
+
+def _cr_grid_with_cache(capsys, corpus_file, cache, out_dir):
+    return run_cli(
+        capsys, "grid", "--tune", corpus_file, "--test", FIXTURES / "echo_corpus.jsonl",
+        "--cache", cache, "--method", "cr", "--k-list", "1", "--out-dir", out_dir,
+    )
+
+
+def test_cache_in_a_new_directory_is_created(corpus_file, tmp_path, capsys):
+    cache = tmp_path / "new" / "dir" / "cache.jsonl"
+    code, _, err = _cr_grid_with_cache(capsys, corpus_file, cache, tmp_path / "g")
+    assert (code, err) == (0, "")
+    assert len(cache.read_text().splitlines()) == 10
+
+
+def test_cache_that_is_a_directory_is_usage_error(corpus_file, tmp_path, capsys):
+    code, _, err = _cr_grid_with_cache(capsys, corpus_file, tmp_path, tmp_path / "g")
+    assert code == 1
+    assert err == f"error: the cache {str(tmp_path)!r} is a directory\n"
+    assert not (tmp_path / "g").exists()
+
+
+def test_choice_lists_are_the_library_tuples():
+    def choices(command, name):
+        [param] = [p for p in cli.commands[command].params if p.name == name]
+        return tuple(param.type.choices)
+
+    assert choices("score", "metric") == selection.METRICS
+    assert choices("select", "ordering") == selection.ORDERINGS
+    assert choices("grid", "method") == selection.METHODS
+    assert choices("grid", "backend_name") == llm.BACKENDS
+    assert selection.METHODS[:len(selection.METRICS)] == selection.METRICS
 
 
 def test_run_whose_every_cell_fails_reports_the_cell(corpus_file, tmp_path, capsys):

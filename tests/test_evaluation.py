@@ -415,6 +415,10 @@ UNKNOWN_VALUES = {
                                      selection_method="bogus", k_values=(0, 1)),
         "selection method",
     ),
+    "grid ordering": (
+        lambda dev, test: config_for(dev, test, echo_client(), orderings=("bogus",)),
+        "ordering",
+    ),
 }
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from conftest import CountingEmbedder, make_corpus, sent
 from mbicl import (
-    Ordering,
     ScoredPair,
     bertscore_precision,
     kate_select,
@@ -267,7 +266,7 @@ def test_kate_select_orders_most_similar_last(toy_corpus):
     sims = [p.score for p in ranked]
     assert sims == sorted(sims, reverse=True)  # ranked, most similar first
     # a low-to-high cell prompts with its top k the other way round
-    chosen = order_examples(select_top_k(ranked, 3), Ordering.LOW_TO_HIGH)
+    chosen = order_examples(select_top_k(ranked, 3), "low-to-high")
     sims = [p.score for p in chosen]
     assert sims == sorted(sims)  # ascending, nearest adjacent to the query
 
