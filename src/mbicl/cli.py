@@ -44,6 +44,15 @@ def _max_in_flight(ctx, param, value):
     return value
 
 
+def _out_dir(ctx, param, value):
+    # made only after a run, so a path that cannot be made fails before any work
+    path = Path(value)
+    nearest = next(p for p in (path, *path.parents) if p.exists() or p.is_symlink())
+    if not nearest.is_dir():
+        raise click.BadParameter(f"{str(nearest)!r} is not a directory")
+    return value
+
+
 @click.group()
 def cli():
     """Metric-based example selection for in-context text simplification."""
@@ -103,7 +112,7 @@ _run_options = [
     click.option("--legacy-completions", is_flag=True, default=False),
     click.option("--max-in-flight", type=int, default=llm.MAX_IN_FLIGHT,
                  callback=_max_in_flight),
-    click.option("--out-dir", required=True, type=click.Path()),
+    click.option("--out-dir", required=True, type=click.Path(), callback=_out_dir),
 ]
 
 

@@ -20,7 +20,6 @@ from .corpus import read_jsonl
 from .errors import BackendError, DataError, UsageError
 from .llm import post_json
 
-DEFAULT_DIM = 32
 TIMEOUT_S = 30  # seconds per embedding request
 
 
@@ -37,36 +36,29 @@ def _normalize_rows(matrix, labels, kind="token"):
     return matrix / norms
 
 
+def _hash_rows(tokens):
+    """HashBackend's unit rows of *tokens*: per token the 32 big-endian
+    16-bit words of sha256("0:0:<token>") then of sha256("0:1:<token>"),
+    each word w as w / 32768 - 1 in [-1, 1), normalized."""
+    digests = b"".join(hashlib.sha256(f"0:{c}:{t}".encode("utf-8")).digest()
+                       for t in tokens for c in (0, 1))
+    words = np.frombuffer(digests, ">u2").reshape(-1, 32)
+    return _normalize_rows(words / 32768.0 - 1.0, tokens)
+
+
 class HashBackend:
-    """Deterministic hash-derived pseudo-embeddings.
+    """Deterministic hash-derived pseudo-embeddings: each token maps to a
+    fixed unit row that is a pure function of the token (_hash_rows),
+    computed the first time the token is seen. Bit-stable across runs and
+    platforms."""
 
-    Each token maps to a fixed unit vector that is a pure function of
-    (token, dim, seed): sha256 output bytes are expanded into floats in
-    [-1, 1) and the row is normalized, once per token. Bit-stable across
-    runs and platforms.
-    """
-
-    def __init__(self, dim=DEFAULT_DIM, seed=0):
-        self.dim = dim
-        self.seed = seed
-        self._rows = {}  # token -> unit row, filled the first time it is seen
-
-    def _token_vector(self, token):
-        values = []
-        counter = 0
-        while len(values) < self.dim:
-            digest = hashlib.sha256(
-                f"{self.seed}:{counter}:{token}".encode("utf-8")
-            ).digest()
-            for i in range(0, len(digest) - 1, 2):
-                word = digest[i] << 8 | digest[i + 1]
-                values.append(word / 32768.0 - 1.0)
-            counter += 1
-        return values[: self.dim]
+    def __init__(self):
+        self._rows = {}  # token -> unit row
 
     def embed_tokens(self, tokens):
-        for token in set(tokens).difference(self._rows):
-            self._rows[token] = _normalize_rows([self._token_vector(token)], [token])[0]
+        new = list(set(tokens).difference(self._rows))
+        if new:
+            self._rows.update(zip(new, _hash_rows(new)))
         return np.array([self._rows[t] for t in tokens])
 
 

@@ -233,14 +233,19 @@ class ResponseCache:
     from the stored fields. A damaged line (e.g. a crash mid-append) is
     moved to ``<path>.quarantine`` instead of being silently reused; every
     good line, before or after it, is kept. A missing directory of *path* is
-    created; a *path* that is a directory is a UsageError.
+    created; a *path* that is a directory, or below a file that is not one,
+    is a UsageError.
     """
 
     def __init__(self, path):
         self.path = Path(path)
         if self.path.is_dir():
             raise UsageError(f"the cache {str(path)!r} is a directory")
-        self.path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+        except (FileExistsError, NotADirectoryError):
+            raise UsageError(f"the cache {str(path)!r} is below a file that is not "
+                             "a directory") from None
         self._records = {}
         self._lock = threading.Lock()
         self._load()

@@ -96,20 +96,14 @@ class NgramTable:
                          seen, self.vocab)
             for b in range(0, len(instances), _BLOCK)
         ]
-        self.orders, ref_orders = [], []
-        for _ in range(MAX_ORDER):
-            parts = [block.pop(0) for block in blocks]
-            self.orders.append(_OrderCounts(*(
-                np.concatenate([*(getattr(part, name) for part, _ in parts),
-                                np.array(absent, dtype=np.int64)])
-                for name, absent in zip(_OrderCounts._fields, _ABSENT)
-            )))
-            if keep_reference_rows:
-                refs = zip(*(refs for _, refs in parts))
-                ref_orders.append(tuple(map(np.concatenate, refs)))
+        orders = [tuple(zip(*parts)) for parts in zip(*blocks)]  # (counts, refs)
+        self.orders = [_OrderCounts(*map(np.concatenate, zip(*counts, _ABSENT)))
+                       for counts, _ in orders]
         if keep_reference_rows:
             rows = np.repeat(np.arange(len(instances)), self.n_refs)
-            self.reference_rows = _Counts(rows, self.ref_lengths, ref_orders)
+            self.reference_rows = _Counts(rows, self.ref_lengths, [
+                tuple(map(np.concatenate, zip(*refs))) for _, refs in orders
+            ])
 
     def count(self, sentences):
         """The n-grams of *sentences*, one per instance in order, each a row
@@ -122,22 +116,19 @@ class NgramTable:
         lengths = np.array([len(s.tokens) for s in sentences], dtype=np.int64)
         rows = np.arange(len(sentences))
 
-        def number(n, sent, prefix, last):
-            keys, key = self.orders[n].keys, _key(prefix, last)
-            at = np.searchsorted(keys, key)  # the last key is above every n-gram's
-            found = keys[at] == key
-            fresh_ids, fresh, _, _ = _runs(key[~found], sent[~found])
-            ids = np.where(found, at, 0)
-            ids[~found] = len(keys) + fresh_ids
-            return ids, None
+        def number(n, keys):
+            table = self.orders[n].keys
+            ids = np.searchsorted(table, keys)  # the last key is above every n-gram's
+            fresh = table[ids] != keys
+            ids[fresh] = len(table) + np.arange(np.count_nonzero(fresh))
+            return ids
 
-        orders = []
-        for order, (sent, ids, _) in zip(
-            self.orders, _ngrams(tokens, lengths, rows, number)
-        ):
-            _, _, first, p = _runs(ids, sent)  # each row's distinct n-grams
-            orders.append((sent[first], np.minimum(ids[first], len(order.keys) - 1), p))
-        return _Counts(rows, lengths, orders)
+        return _Counts(rows, lengths, [
+            (sent[first], np.minimum(ids[first], len(order.keys) - 1), p)
+            for order, (sent, ids, _, first, p) in zip(
+                self.orders, _ngrams(tokens, lengths, rows, number)
+            )
+        ])
 
 
 def _runs(values, sent):
@@ -167,18 +158,21 @@ def _intern(sentences, vocab):
 
 
 def _ngrams(tokens, lengths, first, number):
-    """Per order 1..MAX_ORDER, the sentence and the id of each n-gram of the
-    sentences whose interned *tokens* and *lengths* are given, and what else
-    number(n, their sentences, prefix ids, last tokens) returned with the ids
-    of order n + 1. The empty prefix's id is *first* of the sentence's."""
+    """Per order 1..MAX_ORDER, the n-grams of the sentences whose interned
+    *tokens* and *lengths* are given: each one's sentence and id, the
+    distinct keys in order, and per run of one n-gram in one sentence its
+    first position and length, as _runs gives them. number(n, keys) gives
+    the ids of order n + 1's distinct keys. The empty prefix's id is *first*
+    of the sentence's."""
     sent = np.repeat(np.arange(len(lengths)), lengths)  # each token's sentence
     ends = np.cumsum(lengths)  # where each sentence ends
     pos, ids = np.arange(len(tokens)), first[sent]
     for n in range(MAX_ORDER):
         longer = pos + n < ends[sent]  # the n-gram at pos fits its sentence
         pos, sent = pos[longer], sent[longer]
-        ids, extra = number(n, sent, ids[longer], tokens[pos + n])
-        yield sent, ids, extra
+        index, keys, at, per_sent = _runs(_key(ids[longer], tokens[pos + n]), sent)
+        ids = number(n, keys)[index]
+        yield sent, ids, keys, at, per_sent
 
 
 # One order of an NgramTable. Per id: the summed reference count, the clip
@@ -194,7 +188,8 @@ _OrderCounts = namedtuple(
 
 
 # What each field of _OrderCounts holds at the all-zero last id.
-_ABSENT = _OrderCounts((np.iinfo(np.int64).max,), (0,), (0,), (-1,), (), (), (), (), ())
+_ABSENT = _OrderCounts(*(np.array(v, dtype=np.int64) for v in (
+    [np.iinfo(np.int64).max], [0], [0], [-1], [], [], [], [], [])))
 
 
 def _count_block(instances, first_inst, first_ref, seen, vocab):
@@ -213,12 +208,11 @@ def _count_block(instances, first_inst, first_ref, seen, vocab):
     is_source[np.cumsum(n_refs + 1) - n_refs - 1] = True
     ref_of = np.arange(len(sentences)) - sent_inst - 1  # a reference's row
 
-    def number(n, sent, prefix, last):
-        ids, keys, first, per_sent = _runs(_key(prefix, last), sent)
-        return ids + seen[n, 0], (keys, first, per_sent)
+    def number(n, keys):
+        return np.arange(len(keys)) + seen[n, 0]
 
     orders = []
-    for n, (sent, ids, (keys, first, per_sent)) in enumerate(
+    for n, (sent, ids, keys, first, per_sent) in enumerate(
         _ngrams(tokens, lengths, sent_inst + first_inst, number)
     ):
         (id_off, col_off), n_ids = seen[n], len(keys)

@@ -8,6 +8,7 @@ per-call counting, and its per-sentence embedding, as the reference for
 exact-equality tests.
 """
 
+import hashlib
 import math
 import operator
 from collections import Counter
@@ -292,6 +293,21 @@ def naive_bleu_corpus(predictions, reference_lists, max_order=4):
 # The static embedding backends as they were before they kept one table of
 # unit rows: every sentence builds its tokens' raw vectors and normalizes
 # that matrix. The table path must give the same bits.
+
+def hash_vector(token):
+    """HashBackend's raw vector of *token*, byte by byte: the big-endian
+    16-bit words of sha256("0:<counter>:<token>") for counters 0, 1, ...,
+    each word w as w / 32768 - 1, the first 32 of them."""
+    values = []
+    counter = 0
+    while len(values) < 32:
+        digest = hashlib.sha256(f"0:{counter}:{token}".encode("utf-8")).digest()
+        for i in range(0, len(digest) - 1, 2):
+            word = digest[i] << 8 | digest[i + 1]
+            values.append(word / 32768.0 - 1.0)
+        counter += 1
+    return values[:32]
+
 
 def naive_embed_tokens(vector_of, tokens):
     """One unit row per token: *vector_of* gives a token's raw vector."""

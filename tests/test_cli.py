@@ -811,6 +811,27 @@ def test_max_in_flight_0_is_rejected_before_any_work(
     assert not (tmp_path / "out" / "grid.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["grid", "run"])
+@pytest.mark.parametrize("below", [(), ("sub", "dir")], ids=["file", "below-file"])
+def test_out_dir_at_or_below_a_file_is_rejected_before_any_work(
+    command, below, corpus_file, tmp_path, capsys, monkeypatch
+):
+    def no_load(*args, **kwargs):
+        raise AssertionError("a corpus was loaded")
+
+    monkeypatch.setattr("mbicl.cli._load_corpus", no_load)
+    blocker = tmp_path / "file"
+    blocker.write_text("kept\n")
+    args = _GRID if command == "grid" else (*_RUN, corpus_file)
+    paths = {"dev": corpus_file, "test": FIXTURES / "echo_corpus.jsonl",
+             "out": blocker.joinpath(*below)}
+    code, _, err = run_cli(capsys, *(str(a).format(**paths) for a in args))
+    assert (code, err) == (
+        1, f"error: Invalid value for '--out-dir': {str(blocker)!r} is not a directory\n"
+    )
+    assert blocker.read_text() == "kept\n"
+
+
 def test_grid_at_one_or_four_in_flight_writes_the_same_bytes(corpus_file, tmp_path, capsys):
     outputs, digests = {}, {}
     for n in ("1", "4"):
@@ -847,6 +868,18 @@ def test_cache_that_is_a_directory_is_usage_error(corpus_file, tmp_path, capsys)
     code, _, err = _cr_grid_with_cache(capsys, corpus_file, tmp_path, tmp_path / "g")
     assert code == 1
     assert err == f"error: the cache {str(tmp_path)!r} is a directory\n"
+    assert not (tmp_path / "g").exists()
+
+
+@pytest.mark.parametrize("below", [(), ("sub",)], ids=["in-file", "below-file"])
+def test_cache_below_a_file_is_usage_error(below, corpus_file, tmp_path, capsys):
+    cache = (tmp_path / "file").joinpath(*below, "c.jsonl")
+    (tmp_path / "file").write_text("kept\n")
+    code, _, err = _cr_grid_with_cache(capsys, corpus_file, cache, tmp_path / "g")
+    assert (code, err) == (
+        1, f"error: the cache {str(cache)!r} is below a file that is not a directory\n"
+    )
+    assert (tmp_path / "file").read_text() == "kept\n"
     assert not (tmp_path / "g").exists()
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import http_reply, sent
-from oracles import naive_embed_sentence, naive_embed_tokens
+from oracles import hash_vector, naive_embed_sentence, naive_embed_tokens
 from mbicl.embeddings import (
     FileBackend,
     HashBackend,
@@ -29,9 +29,20 @@ def test_hash_backend_deterministic():
 
 
 def test_hash_backend_distinct_tokens():
-    backend = HashBackend(dim=8)
+    backend = HashBackend()
     m = embed_tokens(sent("a b"), backend)
     assert not np.allclose(m[0], m[1])
+
+
+def test_hash_backend_row_is_pinned():
+    # sha256("0:0:cat") begins 3d ab: 0x3dab / 32768 - 1 = -0.518218994140625
+    assert hash_vector("cat")[:2] == [-0.518218994140625, 0.188629150390625]
+    row = HashBackend().embed_tokens(["cat"])[0]
+    assert row.shape == (32,)
+    assert row[[0, 1, 15, 16, 31]].tolist() == [
+        -0.14797362842649298, 0.05386166876533497, -0.09644733051200896,
+        -0.2848629593817829, 0.08253096018063218,
+    ]
 
 
 def test_hash_backend_rows_unit_norm():
@@ -165,16 +176,15 @@ def _generated_sentences(rng, vocab, n):
             for _ in range(n)]
 
 
-@pytest.mark.parametrize("dim, seed", [(32, 0), (7, 3)])
-def test_hash_table_rows_equal_the_per_sentence_path(dim, seed):
-    rng = np.random.default_rng(dim)
-    vocab = [f"w{i}" for i in range(80)] + [".", ",", "the"]
-    backend, raw = HashBackend(dim, seed), HashBackend(dim, seed)
+def test_hash_table_rows_equal_the_per_sentence_path():
+    rng = np.random.default_rng(32)
+    vocab = [f"w{i}" for i in range(80)] + [".", ",", "the", "café", "日本"]
+    backend = HashBackend()
     for sentence in _generated_sentences(rng, vocab, 300):
-        expected = naive_embed_tokens(raw._token_vector, sentence.tokens)
+        expected = naive_embed_tokens(hash_vector, sentence.tokens)
         assert np.array_equal(embed_tokens(sentence, backend), expected)
         assert np.array_equal(embed_sentence(sentence, backend),
-                              naive_embed_sentence(raw._token_vector, sentence))
+                              naive_embed_sentence(hash_vector, sentence))
 
 
 def test_file_table_rows_equal_the_per_sentence_path(tmp_path):

@@ -14,7 +14,7 @@ from mbicl import (
     evaluate,
     run_experiment,
 )
-from mbicl import evaluation, metrics
+from mbicl import embeddings, evaluation, metrics
 from mbicl import selection as sel
 from mbicl.embeddings import HashBackend, cosine, embed_sentence
 from mbicl.errors import BackendError, DataError, UsageError
@@ -165,6 +165,21 @@ def test_replay_is_byte_identical_with_zero_backend_calls(
     reports_b, _ = run_experiment(config)
     assert second_client.backend.calls == 0
     assert [r.to_json() for r in reports_a] == [r.to_json() for r in reports_b]
+
+
+def test_replay_difference_names_the_manifest_key_that_differs(echo_corpus):
+    predictions = [inst.source for inst in echo_corpus]
+    report = evaluate(echo_corpus, predictions, "cell",
+                      manifest={"k": 1, "params": {"temperature": 0.7}, "seed": None})
+    old = json.loads(report.to_json())
+    assert evaluation.replay_difference(report.to_json(), report) is None
+    old["manifest"]["params"]["temperature"] = 0.0
+    old["manifest"]["seed"] = 3
+    assert evaluation.replay_difference(json.dumps(old), report) == "manifest.params"
+    del old["manifest"]["params"]
+    assert evaluation.replay_difference(json.dumps(old), report) == "manifest.params"
+    old["manifest"]["params"] = report.manifest["params"]
+    assert evaluation.replay_difference(json.dumps(old), report) == "manifest.seed"
 
 
 def test_grid_shape_default_k(pin_corpus, echo_corpus):
@@ -376,13 +391,13 @@ def test_kate_and_bertprec_grids_hash_each_distinct_token_once(
     toy_corpus, echo_corpus, monkeypatch
 ):
     calls = []
-    real = HashBackend._token_vector
+    real = embeddings._hash_rows
 
-    def counting(self, token):
-        calls.append(token)
-        return real(self, token)
+    def counting(tokens):
+        calls.extend(tokens)
+        return real(tokens)
 
-    monkeypatch.setattr(HashBackend, "_token_vector", counting)
+    monkeypatch.setattr(embeddings, "_hash_rows", counting)
     embedder = HashBackend()
     for method in ("kate", "bertprec"):
         config = config_for(toy_corpus, echo_corpus, echo_client(),

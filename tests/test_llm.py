@@ -219,6 +219,36 @@ def test_cache_quarantines_damaged_tail(tmp_path):
     assert backend.calls == 0
 
 
+def test_cache_quarantines_a_line_whose_digest_does_not_match(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    client = CompletionClient(MockEchoBackend(), ResponseCache(path))
+    for q in ("One cat.", "Two cats.", "Three cats."):
+        client.complete(prompt_for(q), PARAMS)
+    lines = path.read_text().splitlines(keepends=True)
+    lines[1] = lines[1].replace('"prompt_text": "', '"prompt_text": "Edited. ')
+    path.write_text("".join(lines))
+
+    backend = CountingBackend(MockEchoBackend())
+    reopened = CompletionClient(backend, ResponseCache(path))
+    assert len(reopened.cache) == 2
+    assert (tmp_path / "cache.jsonl.quarantine").read_text() == lines[1]
+    assert path.read_text() == lines[0] + lines[2]
+    for q in ("One cat.", "Three cats."):
+        reopened.complete(prompt_for(q), PARAMS)
+    assert backend.calls == 0
+
+
+def test_cache_put_of_a_held_digest_appends_nothing(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    cache = ResponseCache(path)
+    client = CompletionClient(MockEchoBackend(), cache)
+    record = client.complete(prompt_for("A cat."), PARAMS)
+    written = path.read_bytes()
+    cache.put(dataclasses.replace(record, completion_text="Another cat.", timestamp=1.0))
+    assert path.read_bytes() == written
+    assert cache.get(record.digest) is record
+
+
 def test_cache_record_without_newline_keeps_the_next(tmp_path):
     path = tmp_path / "cache.jsonl"
     client = CompletionClient(MockEchoBackend(), ResponseCache(path))
