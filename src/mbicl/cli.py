@@ -53,6 +53,14 @@ def _out_dir(ctx, param, value):
     return value
 
 
+def _output(ctx, param, value):
+    # written only after all the work, so it is checked as --out-dir is
+    if Path(value).is_dir():
+        raise click.BadParameter(f"{value!r} is a directory")
+    _out_dir(ctx, param, Path(value).parent)
+    return value
+
+
 @click.group()
 def cli():
     """Metric-based example selection for in-context text simplification."""
@@ -63,7 +71,7 @@ def cli():
 @click.option("--metric", required=True, type=click.Choice(selection.METRICS))
 @click.option("--embeddings", "embeddings_spec", default=None,
               help="test, file:<path>, or http:<url>")
-@click.option("-o", "--output", required=True, type=click.Path())
+@click.option("-o", "--output", required=True, type=click.Path(), callback=_output)
 def score(corpus_path, metric, embeddings_spec, output):
     """Score every (complex, reference) pair of a dev corpus."""
     corpus = _load_corpus(corpus_path)
@@ -79,7 +87,7 @@ def score(corpus_path, metric, embeddings_spec, output):
 @click.option("--ordering", default=selection.DEFAULT_ORDERING,
               type=click.Choice(selection.ORDERINGS))
 @click.option("--seed", type=int, default=None)
-@click.option("-o", "--output", required=True, type=click.Path())
+@click.option("-o", "--output", required=True, type=click.Path(), callback=_output)
 def select(scores_path, k, ordering, seed, output):
     """Pick the top-k pairs from a scored-pair dump and write them, as scored
     pairs, in prompt order."""
@@ -173,12 +181,13 @@ def run(report_path, max_in_flight, out_dir, **inputs):
 @click.option("--test", "test_path", required=True, type=click.Path(exists=True))
 @click.option("--predictions", "predictions_path", required=True,
               type=click.Path(exists=True), help="one prediction per line")
-@click.option("-o", "--output", required=True, type=click.Path())
+@click.option("-o", "--output", required=True, type=click.Path(), callback=_output)
 def evaluate_cmd(test_path, predictions_path, output):
     """Score an existing prediction file against a test corpus."""
     test = _load_corpus(test_path, split="test")
     predictions = [Sentence.from_raw(line) for line in read_lines(predictions_path)]
     report = evaluation.evaluate(test, predictions)
+    Path(output).parent.mkdir(parents=True, exist_ok=True)
     Path(output).write_text(report.to_json(), encoding="utf-8")
     click.echo(f"SARI {report.sari:.2f}  BLEU {report.bleu:.2f}")
 

@@ -143,15 +143,6 @@ def embed_sentence(sentence, backend):
     return _normalize_rows(pooled, [sentence.raw], "sentence")[0]
 
 
-def cosine(a, b):
-    """Dot product of two unit-normalized vectors."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise DataError(f"{a.shape} vs {b.shape}")
-    return float(a @ b)
-
-
 def make_backend(spec_string):
     """Build a backend from a CLI-style descriptor.
 

@@ -12,6 +12,8 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from . import embeddings as emb
 from .corpus import Sentence, read_jsonl
 from .errors import DataError, UsageError
@@ -161,17 +163,32 @@ def random_select(corpus, k, seed):
 def kate_select(dev, queries, k, embedding_backend):
     """Per query sentence, the k dev pairs (complex sentence, first reference)
     whose complex-sentence embedding is most similar to the query's, most
-    similar first. Each dev source and each query is embedded once."""
+    similar first, then by instance id. The similarity of two unit vectors is
+    the sum of their elementwise products. Each sentence is embedded once."""
     if embedding_backend is None:
         raise UsageError("similarity retrieval needs --embeddings")
-    ranked, dev_vecs = [], None
+    dim = None
+
+    def embed(sentence):
+        nonlocal dim
+        vec = emb.embed_sentence(sentence, embedding_backend)
+        dim = len(vec) if dim is None else dim
+        if len(vec) != dim:
+            raise DataError(f"sentence {sentence.raw!r}: a vector of length "
+                            f"{len(vec)}, but the first vector has length {dim}")
+        return vec
+
+    ranked, dev_matrix, by_id = [], None, sorted(dev, key=lambda inst: inst.id)
     for query in queries:
-        query_vec = emb.embed_sentence(query, embedding_backend)
-        if dev_vecs is None:  # after the first query, whose failure is reported first
-            dev_vecs = [emb.embed_sentence(i.source, embedding_backend) for i in dev]
-        scored = [_pair(inst, 0, "kate", emb.cosine(vec, query_vec))
-                  for inst, vec in zip(dev, dev_vecs)]
-        ranked.append(sorted(scored, key=_rank_key)[:k])
+        query_vec = embed(query)
+        if dev_matrix is None:  # after the first query, whose failure is reported first
+            vecs = {inst.id: embed(inst.source) for inst in dev}
+            dev_matrix = np.array([vecs[inst.id] for inst in by_id]).reshape(-1, dim)
+        # the stable sort of id-sorted rows gives _rank_key's order; a row-wise
+        # sum, unlike a BLAS product, gives identical rows equal scores
+        sims = (dev_matrix * query_vec).sum(axis=1)
+        ranked.append([_pair(by_id[i], 0, "kate", float(sims[i]))
+                       for i in np.argsort(-sims, kind="stable")[:k]])
     return ranked
 
 
@@ -215,7 +232,8 @@ def _pair_from_json(obj):
 
 def save_scored_pairs(pairs, path):
     """One JSON object per scored pair, in the order given: a scoring dump, or
-    the pairs ``select`` chose, in prompt order."""
+    the pairs ``select`` chose, in prompt order. Missing directories are made."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with Path(path).open("w", encoding="utf-8") as fh:
         for p in pairs:
             obj = {**pair_ref(p), "source": p.source.raw, "simple": p.simple.raw,

@@ -14,6 +14,8 @@ import operator
 from collections import Counter
 from functools import reduce
 
+import numpy as np
+
 from mbicl.embeddings import _normalize_rows
 from mbicl.errors import DataError, UsageError
 
@@ -317,3 +319,9 @@ def naive_embed_tokens(vector_of, tokens):
 def naive_embed_sentence(vector_of, sentence):
     pooled = naive_embed_tokens(vector_of, sentence.tokens).mean(axis=0, keepdims=True)
     return _normalize_rows(pooled, [sentence.raw], "sentence")[0]
+
+
+def naive_similarity(a, b):
+    """KATE's similarity of two unit vectors, one pair at a time: the sum of
+    their elementwise products."""
+    return float(np.sum(a * b))

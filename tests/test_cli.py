@@ -832,6 +832,64 @@ def test_out_dir_at_or_below_a_file_is_rejected_before_any_work(
     assert blocker.read_text() == "kept\n"
 
 
+# command: (its arguments but -o, and the first work a bad -o must prevent)
+_OUTPUT_COMMANDS = {
+    "score": (("score", "{dev}", "--metric", "cr"), "mbicl.cli._load_corpus"),
+    "select": (("select", "{dev}", "--k", "1"), "mbicl.selection.load_scored_pairs"),
+    "evaluate": (("evaluate", "--test", "{dev}", "--predictions", "{dev}"),
+                 "mbicl.cli._load_corpus"),
+}
+
+
+@pytest.mark.parametrize("command", list(_OUTPUT_COMMANDS))
+@pytest.mark.parametrize("at", ["dir", "file/x.jsonl", "file/sub/x.jsonl"])
+def test_output_that_cannot_be_written_is_rejected_before_any_work(
+    command, at, corpus_file, tmp_path, capsys, monkeypatch
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work was done")
+
+    args, work = _OUTPUT_COMMANDS[command]
+    monkeypatch.setattr(work, no_work)
+    (tmp_path / "dir").mkdir()
+    blocker = tmp_path / "file"
+    blocker.write_text("kept\n")
+    out = tmp_path / at
+    code, _, err = run_cli(capsys, *(a.format(dev=corpus_file) for a in args), "-o", out)
+    fault = (f"{str(out)!r} is a directory" if at == "dir"
+             else f"{str(blocker)!r} is not a directory")
+    assert (code, err) == (1, f"error: Invalid value for '-o' / '--output': {fault}\n")
+    assert blocker.read_text() == "kept\n"
+
+
+def test_output_in_a_new_directory_is_created(corpus_file, tmp_path, capsys):
+    scores, chosen, report = (tmp_path / "new" / name for name in ("s/x", "c/x", "r/x"))
+    predictions = tmp_path / "preds.txt"
+    predictions.write_text("A cat sat.\nHe came back.\nThe house was torn down.\n")
+    for args in (("score", corpus_file, "--metric", "cr", "-o", scores),
+                 ("select", scores, "--k", "2", "-o", chosen),
+                 ("evaluate", "--test", corpus_file, "--predictions", predictions,
+                  "-o", report)):
+        assert run_cli(capsys, *args)[0] == 0
+    assert [len(p.read_text().splitlines()) for p in (scores, chosen)] == [6, 2]
+    assert '"sari"' in report.read_text()
+
+
+def test_kate_grid_on_an_empty_tune_corpus_fails_each_cell(tmp_path, capsys):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    code, _, err = run_cli(
+        capsys, "grid", "--tune", empty, "--test", FIXTURES / "echo_corpus.jsonl",
+        "--method", "kate", "--embeddings", "test", "--k-list", "1,2",
+        "--out-dir", tmp_path / "out",
+    )
+    assert (code, err) == (2, "cell kate-k1-high-to-low failed: no candidate pairs "
+                              "to select from\n"
+                              "cell kate-k2-high-to-low failed: no candidate pairs "
+                              "to select from\n"
+                              "data error: no candidate pairs to select from\n")
+
+
 def test_grid_at_one_or_four_in_flight_writes_the_same_bytes(corpus_file, tmp_path, capsys):
     outputs, digests = {}, {}
     for n in ("1", "4"):

@@ -12,7 +12,6 @@ from mbicl.embeddings import (
     FileBackend,
     HashBackend,
     HttpBackend,
-    cosine,
     embed_sentence,
     embed_tokens,
     make_backend,
@@ -78,24 +77,6 @@ def test_embed_sentence_mean_of_orthogonal():
 
     vec = embed_sentence(sent("a b"), TwoRows())
     assert np.allclose(vec, [np.sqrt(2) / 2, np.sqrt(2) / 2])
-
-
-def test_cosine_identity_and_orthogonal():
-    assert cosine([1.0, 0.0], [1.0, 0.0]) == pytest.approx(1.0)
-    assert cosine([1.0, 0.0], [0.0, 1.0]) == pytest.approx(0.0)
-    r = np.sqrt(2) / 2
-    assert cosine([1.0, 0.0], [r, r]) == pytest.approx(r)
-
-
-def test_cosine_symmetry():
-    rng = np.random.default_rng(0)
-    a, b = rng.normal(size=4), rng.normal(size=4)
-    assert cosine(a, b) == cosine(b, a)
-
-
-def test_cosine_dimension_mismatch():
-    with pytest.raises(DataError, match=re.escape("(2,) vs (3,)")):
-        cosine([1.0, 0.0], [1.0, 0.0, 0.0])
 
 
 def test_file_backend_token_mode(tmp_path):

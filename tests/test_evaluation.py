@@ -5,7 +5,7 @@ import json
 import pytest
 
 from conftest import CountingBackend, CountingEmbedder, load_pins, make_corpus, sent
-from oracles import left_sum, naive_bleu_corpus, naive_sari_sentence
+from oracles import left_sum, naive_bleu_corpus, naive_sari_sentence, naive_similarity
 from mbicl import (
     CompletionClient,
     ExperimentConfig,
@@ -16,7 +16,7 @@ from mbicl import (
 )
 from mbicl import embeddings, evaluation, metrics
 from mbicl import selection as sel
-from mbicl.embeddings import HashBackend, cosine, embed_sentence
+from mbicl.embeddings import HashBackend, embed_sentence
 from mbicl.errors import BackendError, DataError, UsageError
 from mbicl.evaluation import format_grid_table, write_grid_csv, write_report
 from mbicl.llm import MockEchoBackend, MockFirstReferenceBackend
@@ -348,7 +348,9 @@ def test_kate_grid_matches_brute_force_and_embeds_each_sentence_once(
         qv = embed_sentence(query, HashBackend())
         rankings.append(sorted(
             toy_corpus,
-            key=lambda i: (-cosine(embed_sentence(i.source, HashBackend()), qv), i.id),
+            key=lambda i: (
+                -naive_similarity(embed_sentence(i.source, HashBackend()), qv), i.id
+            ),
         ))
     expected = []
     for k in (1, 2, 3):

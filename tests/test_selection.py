@@ -1,6 +1,8 @@
 import collections
 import random
+import re
 
+import numpy as np
 import pytest
 
 from conftest import CountingEmbedder, make_corpus, sent
@@ -13,7 +15,7 @@ from mbicl import (
     score_pairs,
     select_top_k,
 )
-from mbicl.embeddings import HashBackend, cosine, embed_sentence, embed_tokens
+from mbicl.embeddings import HashBackend, embed_sentence, embed_tokens
 from mbicl.errors import DataError, UsageError
 from mbicl.selection import (
     DUPLICATE_SCORE,
@@ -22,7 +24,7 @@ from mbicl.selection import (
     pairs_from_refs,
     save_scored_pairs,
 )
-from oracles import naive_sari_sentence
+from oracles import naive_sari_sentence, naive_similarity
 
 
 def make_pair(id, ref_index=0, score=1.0, metric="cr"):
@@ -277,7 +279,9 @@ def test_kate_select_matches_brute_force_cosines(toy_corpus):
     qv = embed_sentence(query, backend)
     expected = sorted(
         toy_corpus,
-        key=lambda inst: (-cosine(embed_sentence(inst.source, backend), qv), inst.id),
+        key=lambda inst: (
+            -naive_similarity(embed_sentence(inst.source, backend), qv), inst.id
+        ),
     )
     [chosen] = kate_select(toy_corpus, [query], 2, backend)
     assert [p.instance_id for p in chosen] == [inst.id for inst in expected[:2]]
@@ -307,13 +311,47 @@ def test_kate_select_every_query_and_k_match_brute_force():
     for query, pairs in zip(queries, ranked):
         qv = embed_sentence(query, backend)
         brute = sorted(
-            (-cosine(embed_sentence(inst.source, backend), qv), inst.id) for inst in dev
+            (-naive_similarity(embed_sentence(inst.source, backend), qv), inst.id)
+            for inst in dev
         )
         for k in range(1, 6):
             top = select_top_k(pairs, k)
             assert [(-p.score, p.instance_id) for p in top] == brute[:k]
             assert all(p.reference_index == 0 for p in top)
     assert [p.instance_id for p in ranked[0][:2]] == ["c", "f"]
+
+
+def test_kate_select_breaks_ties_by_id_not_by_corpus_order():
+    sources = ["He returned home.", "The cat sat.", "Rain fell all night."]
+    rows = [(str(i), sources[i % 3], ["Simple."]) for i in range(60)]
+    random.Random(0).shuffle(rows)
+    [ranked] = kate_select(make_corpus(rows), [sent(sources[0])], 60, HashBackend())
+    keys = [(-p.score, p.instance_id) for p in ranked]
+    assert keys == sorted(keys) and len(set(keys)) == 60
+    assert [p.instance_id for p in ranked[:3]] == ["0", "12", "15"]  # "12" < "3"
+
+
+class LengthByToken:
+    """An embedder whose vectors have 3 values for a sentence with *token*, 2
+    otherwise: an HTTP embedder checks lengths only within one reply."""
+
+    def __init__(self, token):
+        self.token = token
+
+    def embed_tokens(self, tokens):
+        return np.ones((len(tokens), 3 if self.token in tokens else 2))
+
+
+@pytest.mark.parametrize("token, sentence", [
+    ("old", "The old house was demolished quickly."),
+    ("dusk", "He left at dusk."),
+], ids=["dev-source", "second-query"])
+def test_kate_select_rejects_a_vector_of_another_length(toy_corpus, token, sentence):
+    queries = [sent("The cat sat."), sent("He left at dusk.")]
+    message = (f"sentence {sentence!r}: a vector of length 3, "
+               "but the first vector has length 2")
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        kate_select(toy_corpus, queries, 1, LengthByToken(token))
 
 
 def test_kate_select_needs_backend(toy_corpus):
